@@ -27,30 +27,25 @@
 // degraded-query fraction. PREDTOP_FAULT overrides the injected spec;
 // PREDTOP_FAULT_SEED replays a specific decision sequence.
 //
-// PREDTOP_COMPILE_DRILL=1 runs the plan search with compiled inference
-// programs disabled then enabled on both paper platforms and asserts the
-// chosen plans are equal — the compiled path must change latency, never
-// predictions (within the 1e-6 fp32 parity contract).
-//
-// PREDTOP_BATCH_DRILL=1 runs the plan search with the batch-compiled
-// executors disabled (sequential compiled replay) then enabled on both paper
-// platforms and asserts the chosen plans are BIT-equal — stacking and
-// interleaving are exact transformations, so unlike the compile drill there
-// is no tolerance: any divergence is a bug. Also asserts the batch executors
-// actually engaged (their process-wide query counters moved).
+// PREDTOP_ENGINE_DRILL=1 checks the compiled inference engine inside a real
+// plan search on both paper platforms: the batch-oracle plan (PredictMany
+// per mesh through the batch executor) must be BIT-equal to the
+// per-query-oracle plan (one Predict per cell), and must match a plan priced
+// cell by cell through the autograd tape (PredictSecondsTape): same stage
+// slices and meshes, iteration latency within 1e-4 relative.
 
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "cluster/local.h"
-#include "compile/batch.h"
-#include "compile/cache.h"
 #include "cluster/oracle.h"
 #include "cluster/router.h"
 #include "core/plan_search.h"
@@ -152,100 +147,30 @@ void RunServingMode(const core::BenchmarkModel& benchmark, const sim::ClusterSpe
             << "x vs serial cold\n\n";
 }
 
-// Compile drill: the same plan search twice on one platform — compiled
-// inference programs disabled, then enabled — asserting the two plans are
-// equal (same stage slices and meshes, iteration latency within the
-// documented 1e-6-per-forward parity contract) and that the compiled path
-// actually engaged (programs were built into the global cache). Returns
-// true when the plans agree.
-bool RunCompileDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSpec& cluster,
-                     const std::string& platform_label, std::int32_t max_span,
-                     const bench::GridConfig& grid) {
-  core::PlanSearch search(benchmark, cluster,
-                          MakePlanConfig(benchmark, cluster, max_span, grid));
-  std::cerr << "[bench] fig10 " << benchmark.name << ": compile drill (train, "
-            << platform_label << ")\n";
-  const core::TrainedMeshPredictors trained =
-      search.TrainPredictors(core::PredictorKind::kDagTransformer);
-
-  auto registry = std::make_shared<serve::ModelRegistry>();
-  const std::vector<serve::ModelKey> keys = serve::RegisterMeshPredictors(
-      *registry, benchmark.name, platform_label, search.Meshes(), trained);
-  serve::ServiceOptions service_options;
-  service_options.threads = 0;
-  serve::PredictionService service(registry, service_options);
-  const serve::ServingOracle oracle(
-      service, search.Meshes(), keys,
-      [&search](ir::StageSlice s) -> const graph::EncodedGraph& {
-        return search.EncodedFor(s);
-      },
-      search.EffectiveMaxSpan());
-  const parallel::InterOpOptimizer optimizer = search.MakeOptimizer();
-
-  compile::SetCompileEnabled(false);
-  util::Stopwatch off_watch;
-  const parallel::PipelinePlan plan_off = optimizer.Optimize(oracle.AsBatchOracle());
-  const double off_s = off_watch.ElapsedSeconds();
-
-  // Fresh caches so the compiled pass builds its programs and answers every
-  // query through them rather than replaying fingerprint-cached results.
-  service.ClearCache();
-  compile::ProgramCache::Global().Clear();
-  compile::SetCompileEnabled(true);
-  util::Stopwatch on_watch;
-  const parallel::PipelinePlan plan_on = optimizer.Optimize(oracle.AsBatchOracle());
-  const double on_s = on_watch.ElapsedSeconds();
-  const std::size_t programs = compile::ProgramCache::Global().Size();
-
-  bool structural = plan_on.Valid() && plan_off.Valid() &&
-                    plan_on.stages.size() == plan_off.stages.size();
-  if (structural) {
-    for (std::size_t i = 0; i < plan_on.stages.size(); ++i) {
-      if (!(plan_on.stages[i].mesh == plan_off.stages[i].mesh) ||
-          plan_on.stages[i].slice.first_layer != plan_off.stages[i].slice.first_layer ||
-          plan_on.stages[i].slice.last_layer != plan_off.stages[i].slice.last_layer) {
-        structural = false;
-        break;
-      }
+/// True when both plans are valid and pick the same stage slices and meshes.
+bool SameStages(const parallel::PipelinePlan& a, const parallel::PipelinePlan& b) {
+  if (!a.Valid() || !b.Valid() || a.stages.size() != b.stages.size()) return false;
+  for (std::size_t i = 0; i < a.stages.size(); ++i) {
+    if (!(a.stages[i].mesh == b.stages[i].mesh) ||
+        a.stages[i].slice.first_layer != b.stages[i].slice.first_layer ||
+        a.stages[i].slice.last_layer != b.stages[i].slice.last_layer) {
+      return false;
     }
   }
-  const double lat_gap =
-      std::abs(plan_on.iteration_latency_s - plan_off.iteration_latency_s);
-  const bool latency_ok =
-      lat_gap <= 1e-4 * std::max(1.0, std::abs(plan_off.iteration_latency_s));
-  const bool ok = structural && latency_ok && programs > 0;
-
-  util::TablePrinter table({"pass", "optimize wall", "plan latency", "plan equal"});
-  table.SetTitle("Fig. 10 compile drill — " + benchmark.name + " on " + platform_label +
-                 " (PREDTOP_COMPILE off vs on)");
-  table.AddRow({"compile off", util::FormatSeconds(off_s),
-                util::FormatSeconds(plan_off.iteration_latency_s), "reference"});
-  table.AddRow({"compile on", util::FormatSeconds(on_s),
-                util::FormatSeconds(plan_on.iteration_latency_s),
-                ok ? "yes" : "NO"});
-  table.Print(std::cout);
-  std::cout << "compiled programs built: " << programs
-            << "; plan latency gap: " << lat_gap << " s\n\n";
-  if (!ok) {
-    std::cerr << "[bench] compile drill " << platform_label
-              << ": structural=" << structural << " latency_ok=" << latency_ok
-              << " programs=" << programs << "\n";
-  }
-  return ok;
+  return true;
 }
 
-// Batch drill: the same plan search twice on one platform — batch-compiled
-// execution disabled (every query replays the sequential compiled program,
-// the pre-batch path) then enabled (same-shape query groups run through the
-// stacked/interleaved executors) — asserting the two plans are bit-equal:
-// identical stage slices and meshes, and iteration latencies equal to the
-// last bit. Returns true when they are and the batch executors engaged.
-bool RunBatchDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSpec& cluster,
-                   const std::string& platform_label, std::int32_t max_span,
-                   const bench::GridConfig& grid) {
+// Engine drill: one trained search on one platform, planned three ways —
+// the per-query oracle, the batch oracle, and a tape-priced oracle that
+// shares no cache, program or executor with the other two. Returns true
+// when the batch plan is bit-equal to the per-query plan and matches the
+// tape plan (same stages, latency within 1e-4 relative).
+bool RunEngineDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSpec& cluster,
+                    const std::string& platform_label, std::int32_t max_span,
+                    const bench::GridConfig& grid) {
   core::PlanSearch search(benchmark, cluster,
                           MakePlanConfig(benchmark, cluster, max_span, grid));
-  std::cerr << "[bench] fig10 " << benchmark.name << ": batch drill (train, "
+  std::cerr << "[bench] fig10 " << benchmark.name << ": engine drill (train, "
             << platform_label << ")\n";
   const core::TrainedMeshPredictors trained =
       search.TrainPredictors(core::PredictorKind::kDagTransformer);
@@ -264,55 +189,62 @@ bool RunBatchDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSpec
       search.EffectiveMaxSpan());
   const parallel::InterOpOptimizer optimizer = search.MakeOptimizer();
 
-  compile::SetCompileEnabled(true);
-  compile::SetBatchCompileEnabled(false);
-  util::Stopwatch off_watch;
-  const parallel::PipelinePlan plan_off = optimizer.Optimize(oracle.AsBatchOracle());
-  const double off_s = off_watch.ElapsedSeconds();
+  util::Stopwatch scalar_watch;
+  const parallel::PipelinePlan plan_scalar = optimizer.Optimize(oracle.AsOracle());
+  const double scalar_s = scalar_watch.ElapsedSeconds();
 
-  // Fresh prediction cache so the batched pass answers every query through
-  // the batch executors instead of replaying fingerprint-cached results (the
-  // compiled programs themselves can and should be reused).
+  // Cold cache, so the batch pass runs every forward through the batch
+  // executor instead of replaying the per-query answers.
   service.ClearCache();
-  compile::SetBatchCompileEnabled(true);
-  const std::uint64_t batch_queries_before =
-      compile::BatchedForwards() + compile::InterleavedForwards();
-  util::Stopwatch on_watch;
-  const parallel::PipelinePlan plan_on = optimizer.Optimize(oracle.AsBatchOracle());
-  const double on_s = on_watch.ElapsedSeconds();
-  const std::uint64_t batch_queries =
-      compile::BatchedForwards() + compile::InterleavedForwards() - batch_queries_before;
+  util::Stopwatch batch_watch;
+  const parallel::PipelinePlan plan_batch = optimizer.Optimize(oracle.AsBatchOracle());
+  const double batch_s = batch_watch.ElapsedSeconds();
 
-  bool structural = plan_on.Valid() && plan_off.Valid() &&
-                    plan_on.stages.size() == plan_off.stages.size();
-  if (structural) {
-    for (std::size_t i = 0; i < plan_on.stages.size(); ++i) {
-      if (!(plan_on.stages[i].mesh == plan_off.stages[i].mesh) ||
-          plan_on.stages[i].slice.first_layer != plan_off.stages[i].slice.first_layer ||
-          plan_on.stages[i].slice.last_layer != plan_off.stages[i].slice.last_layer) {
-        structural = false;
-        break;
-      }
+  // Tape reference: every in-span cell priced through the autograd forward,
+  // memoized per (mesh, fingerprint).
+  std::map<std::pair<std::size_t, std::uint64_t>, double> tape_cells;
+  const auto tape_oracle = [&](ir::StageSlice slice,
+                               sim::Mesh mesh) -> parallel::StageLatencyResult {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    if (slice.NumLayers() > search.EffectiveMaxSpan()) return {kInf, {}};
+    for (std::size_t m = 0; m < search.Meshes().size(); ++m) {
+      if (!(search.Meshes()[m] == mesh)) continue;
+      const graph::EncodedGraph& g = search.EncodedFor(slice);
+      const auto [it, fresh] = tape_cells.try_emplace({m, g.fingerprint}, 0.0);
+      if (fresh) it->second = trained.per_mesh[m]->PredictSecondsTape(g);
+      return {it->second, {}};
     }
-  }
-  // Bit-equality, not a tolerance: the batch executors are exact.
-  const bool latency_ok =
-      plan_on.iteration_latency_s == plan_off.iteration_latency_s;
-  const bool ok = structural && latency_ok && batch_queries > 0;
+    return {kInf, {}};
+  };
+  util::Stopwatch tape_watch;
+  const parallel::PipelinePlan plan_tape = optimizer.Optimize(tape_oracle);
+  const double tape_s = tape_watch.ElapsedSeconds();
 
-  util::TablePrinter table({"pass", "optimize wall", "plan latency", "plan bit-equal"});
-  table.SetTitle("Fig. 10 batch drill — " + benchmark.name + " on " + platform_label +
-                 " (PREDTOP_BATCH_COMPILE off vs on)");
-  table.AddRow({"batch off", util::FormatSeconds(off_s),
-                util::FormatSeconds(plan_off.iteration_latency_s), "reference"});
-  table.AddRow({"batch on", util::FormatSeconds(on_s),
-                util::FormatSeconds(plan_on.iteration_latency_s), ok ? "yes" : "NO"});
+  // Bit-equality, not a tolerance: the batch executor is exact.
+  const bool batch_equal = SameStages(plan_batch, plan_scalar) &&
+                           plan_batch.iteration_latency_s == plan_scalar.iteration_latency_s;
+  const double tape_gap =
+      std::abs(plan_batch.iteration_latency_s - plan_tape.iteration_latency_s);
+  const bool tape_match =
+      SameStages(plan_batch, plan_tape) &&
+      tape_gap <= 1e-4 * std::abs(plan_tape.iteration_latency_s);
+  const bool ok = batch_equal && tape_match;
+
+  util::TablePrinter table({"oracle", "optimize wall", "plan latency", "check"});
+  table.SetTitle("Fig. 10 engine drill — " + benchmark.name + " on " + platform_label);
+  table.AddRow({"per-query", util::FormatSeconds(scalar_s),
+                util::FormatSeconds(plan_scalar.iteration_latency_s), "reference"});
+  table.AddRow({"batch", util::FormatSeconds(batch_s),
+                util::FormatSeconds(plan_batch.iteration_latency_s),
+                batch_equal ? "bit-equal" : "DIFFERS"});
+  table.AddRow({"tape", util::FormatSeconds(tape_s),
+                util::FormatSeconds(plan_tape.iteration_latency_s),
+                tape_match ? "matches batch" : "DIFFERS"});
   table.Print(std::cout);
-  std::cout << "queries through the batch executors: " << batch_queries << "\n\n";
+  std::cout << "tape vs batch plan latency gap: " << tape_gap << " s\n\n";
   if (!ok) {
-    std::cerr << "[bench] batch drill " << platform_label << ": structural=" << structural
-              << " latency_bit_equal=" << latency_ok
-              << " batch_queries=" << batch_queries << "\n";
+    std::cerr << "[bench] engine drill " << platform_label << ": batch_bit_equal="
+              << batch_equal << " tape_match=" << tape_match << "\n";
   }
   return ok;
 }
@@ -602,30 +534,16 @@ int main() {
                      : "cluster mode FAILED\n");
     return ok ? 0 : 1;
   }
-  // PREDTOP_COMPILE_DRILL=1 runs only the compiled-vs-uncompiled plan
-  // comparison on both paper platforms and exits non-zero if the plans
-  // diverge or the compiled path never engaged.
-  if (util::EnvBool("PREDTOP_COMPILE_DRILL", false)) {
-    bool ok = RunCompileDrill(bench::PaperGpt3(), sim::Platform1(), "platform1",
-                              grid.gpt_max_span, grid);
-    ok &= RunCompileDrill(bench::PaperGpt3(), sim::Platform2(), "platform2",
-                          grid.gpt_max_span, grid);
-    std::cout << (ok ? "compile drill PASSED: compiled and uncompiled searches chose "
-                       "equal plans on both platforms\n"
-                     : "compile drill FAILED\n");
-    return ok ? 0 : 1;
-  }
-  // PREDTOP_BATCH_DRILL=1 runs only the batched-vs-sequential compiled plan
-  // comparison on both paper platforms and exits non-zero if the plans are
-  // not bit-equal or the batch executors never engaged.
-  if (util::EnvBool("PREDTOP_BATCH_DRILL", false)) {
-    bool ok = RunBatchDrill(bench::PaperGpt3(), sim::Platform1(), "platform1",
-                            grid.gpt_max_span, grid);
-    ok &= RunBatchDrill(bench::PaperGpt3(), sim::Platform2(), "platform2",
-                        grid.gpt_max_span, grid);
-    std::cout << (ok ? "batch drill PASSED: batched and sequential compiled searches "
-                       "chose bit-equal plans on both platforms\n"
-                     : "batch drill FAILED\n");
+  // PREDTOP_ENGINE_DRILL=1 runs only the engine drill on both paper
+  // platforms and exits non-zero if a plan differs.
+  if (util::EnvBool("PREDTOP_ENGINE_DRILL", false)) {
+    bool ok = RunEngineDrill(bench::PaperGpt3(), sim::Platform1(), "platform1",
+                             grid.gpt_max_span, grid);
+    ok &= RunEngineDrill(bench::PaperGpt3(), sim::Platform2(), "platform2",
+                         grid.gpt_max_span, grid);
+    std::cout << (ok ? "engine drill PASSED: batch plans bit-equal to per-query plans and "
+                       "matching tape-priced plans on both platforms\n"
+                     : "engine drill FAILED\n");
     return ok ? 0 : 1;
   }
   // PREDTOP_SERVE_ONLY=1 skips the (slow) approach grid and measures just

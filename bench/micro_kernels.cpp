@@ -1,11 +1,13 @@
 // Microbenchmarks for the performance-critical kernels. Two layers:
 //
 //  1. A headline comparison suite (runs first, always) that times the GEMM
-//     tiers (naive i-k-j vs packed vs packed+threads), arena vs malloc
-//     allocation, and warm tape vs tape-free PredictSeconds on a real GPT-3
-//     stage graph, and writes the results to BENCH_kernels.json (path
-//     overridable via PREDTOP_BENCH_JSON). PREDTOP_BENCH_SMOKE=1 shrinks
-//     repetitions so CI can exercise the harness in seconds.
+//     tiers (naive i-k-j vs packed vs packed+threads), warm tape vs compiled
+//     PredictSeconds on a real GPT-3 stage graph, and the batch executor's
+//     sequential / interleaved / auto modes, and writes the results with a
+//     host record (nproc, ISA) to BENCH_kernels.json (path overridable via
+//     PREDTOP_BENCH_JSON). Each row reports the minimum and the median over
+//     its repetitions. PREDTOP_BENCH_SMOKE=1 shrinks repetitions so CI can
+//     exercise the harness in seconds.
 //  2. The google-benchmark registrations kept from the original harness
 //     (softmax, encoding, compilation, DP, forwards), skipped in smoke mode.
 
@@ -16,23 +18,21 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "compile/batch.h"
-#include "compile/cache.h"
 #include "compile/tune.h"
 #include "core/dataset.h"
 #include "core/predictors.h"
 #include "core/regressor.h"
 #include "graph/reachability.h"
 #include "ir/to_dag.h"
-#include "nn/infer.h"
 #include "parallel/inter_op.h"
 #include "parallel/intra_op.h"
-#include "tensor/arena.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "util/env.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -44,30 +44,60 @@ namespace {
 
 // ---- headline comparisons -> BENCH_kernels.json ----
 
-/// Best-of-N wall time of `fn` (seconds); one warm-up call first.
+/// Wall time of one call of `fn` over `reps` repetitions (one warm-up call
+/// first): the fastest and the median repetition, in seconds.
+struct Timing {
+  double min_s = 0.0;
+  double median_s = 0.0;
+};
+
 template <typename Fn>
-double BestOf(int reps, Fn&& fn) {
+Timing Time(int reps, Fn&& fn) {
   fn();
-  double best = std::numeric_limits<double>::infinity();
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) {
     util::Stopwatch timer;
     fn();
-    best = std::min(best, timer.ElapsedSeconds());
+    samples.push_back(timer.ElapsedSeconds());
   }
-  return best;
+  std::sort(samples.begin(), samples.end());
+  return {samples.front(), samples[samples.size() / 2]};
+}
+
+/// `"name": {"min_s": ..., "median_s": ...}`
+std::string JsonTiming(const char* name, const Timing& t) {
+  std::ostringstream out;
+  out << "\"" << name << "\": {\"min_s\": " << t.min_s << ", \"median_s\": " << t.median_s
+      << "}";
+  return out.str();
+}
+
+/// Widest vector ISA this binary was compiled for (the build uses
+/// -march=native, so this is the host's).
+const char* CompiledIsa() {
+#if defined(__AVX512F__)
+  return "avx512f";
+#elif defined(__AVX2__)
+  return "avx2";
+#elif defined(__AVX__)
+  return "avx";
+#else
+  return "scalar";
+#endif
 }
 
 struct GemmRow {
   std::int64_t size = 0;  // m = k = n
-  double naive_s = 0.0;
-  double packed_s = 0.0;
-  double threaded_s = 0.0;
+  Timing naive;
+  Timing packed;
+  Timing threaded;
 };
 
 std::vector<GemmRow> RunGemmSweep(bool smoke) {
   const std::vector<std::int64_t> sizes =
       smoke ? std::vector<std::int64_t>{64, 256} : std::vector<std::int64_t>{64, 128, 256, 512};
-  const int reps = smoke ? 3 : 10;
+  const int reps = smoke ? 3 : 15;
   std::vector<GemmRow> rows;
   util::Rng rng(21);
   for (const std::int64_t s : sizes) {
@@ -77,62 +107,25 @@ std::vector<GemmRow> RunGemmSweep(bool smoke) {
     tensor::Tensor c({s, s});
     GemmRow row;
     row.size = s;
-    row.naive_s = BestOf(reps, [&] { benchmark::DoNotOptimize(tensor::MatMulNaive(a, b)); });
-    row.packed_s = BestOf(reps, [&] {
+    row.naive = Time(reps, [&] { benchmark::DoNotOptimize(tensor::MatMulNaive(a, b)); });
+    row.packed = Time(reps, [&] {
       tensor::MatMulPackedInto(a.data().data(), s, packed, c.data().data(),
                                /*allow_threads=*/false);
       benchmark::DoNotOptimize(c.data().data());
     });
-    row.threaded_s = BestOf(reps, [&] {
+    row.threaded = Time(reps, [&] {
       tensor::MatMulPackedInto(a.data().data(), s, packed, c.data().data(),
                                /*allow_threads=*/true);
       benchmark::DoNotOptimize(c.data().data());
     });
     const double gflop = 2.0 * static_cast<double>(s) * s * s * 1e-9;
-    std::cerr << "[bench] gemm " << s << "^3: naive " << gflop / row.naive_s
-              << " GFLOP/s, packed " << gflop / row.packed_s << " GFLOP/s ("
-              << row.naive_s / row.packed_s << "x), +threads " << gflop / row.threaded_s
-              << " GFLOP/s (" << row.naive_s / row.threaded_s << "x)\n";
+    std::cerr << "[bench] gemm " << s << "^3 (min): naive " << gflop / row.naive.min_s
+              << " GFLOP/s, packed " << gflop / row.packed.min_s << " GFLOP/s ("
+              << row.naive.min_s / row.packed.min_s << "x), +threads "
+              << gflop / row.threaded.min_s << " GFLOP/s\n";
     rows.push_back(row);
   }
   return rows;
-}
-
-struct ArenaResult {
-  std::int64_t allocs_per_epoch = 0;
-  std::int64_t floats_per_alloc = 0;
-  double arena_s = 0.0;
-  double malloc_s = 0.0;
-};
-
-ArenaResult RunArenaVsMalloc(bool smoke) {
-  // Shape mimics one DAG Transformer forward: dozens of medium matrices whose
-  // lifetimes end together.
-  ArenaResult result;
-  result.allocs_per_epoch = 64;
-  result.floats_per_alloc = 200 * 32;
-  const int reps = smoke ? 20 : 200;
-  tensor::Arena arena;
-  result.arena_s = BestOf(reps, [&] {
-    arena.Reset();
-    for (std::int64_t i = 0; i < result.allocs_per_epoch; ++i) {
-      float* p = arena.AllocFloats(result.floats_per_alloc);
-      p[0] = static_cast<float>(i);  // touch so the alloc is not elided
-      benchmark::DoNotOptimize(p);
-    }
-  });
-  result.malloc_s = BestOf(reps, [&] {
-    std::vector<std::vector<float>> live;
-    live.reserve(static_cast<std::size_t>(result.allocs_per_epoch));
-    for (std::int64_t i = 0; i < result.allocs_per_epoch; ++i) {
-      live.emplace_back(static_cast<std::size_t>(result.floats_per_alloc));
-      live.back()[0] = static_cast<float>(i);
-      benchmark::DoNotOptimize(live.back().data());
-    }
-  });
-  std::cerr << "[bench] arena epoch " << result.arena_s * 1e6 << " us vs malloc "
-            << result.malloc_s * 1e6 << " us (" << result.malloc_s / result.arena_s << "x)\n";
-  return result;
 }
 
 const ir::StageProgram& SampleStage() {
@@ -145,13 +138,9 @@ const ir::StageProgram& SampleStage() {
 
 struct PredictResult {
   std::int64_t graph_nodes = 0;
-  double tape_s = 0.0;      // autograd Forward, packed-GEMM dispatch (today's tape)
-  double tape_ikj_s = 0.0;  // autograd Forward forced onto the i-k-j kernel (pre-PR path)
-  double fast_s = 0.0;      // tape-free InferScalar, compilation disabled
-  double fast_pr5_s = 0.0;  // fast path with the 6x16 GEMM tile (the PR 5 build)
-  double compiled_s = 0.0;       // compiled InferProgram (fused + planned arena)
-  double compiled_bf16_s = 0.0;  // compiled, bf16 weight tier
-  double compiled_int8_s = 0.0;  // compiled, int8 weight tier
+  Timing tape;                 // autograd Forward
+  Timing compiled;             // compiled InferProgram, resolved register tile
+  Timing compiled_narrow_tile; // compiled, 6x16 two-vector GEMM tile
 };
 
 PredictResult RunPredictComparison(bool smoke) {
@@ -161,77 +150,49 @@ PredictResult RunPredictComparison(bool smoke) {
   core::PredictorOptions options;
   options.feature_dim = core::StageFeatureDim();
   core::LatencyRegressor regressor(core::PredictorKind::kDagTransformer, options);
-  const int reps = smoke ? 3 : 20;
+  const int reps = smoke ? 3 : 41;
   PredictResult result;
   result.graph_nodes = encoded.num_nodes;
-  result.tape_s = BestOf(reps, [&] {
+  result.tape = Time(reps, [&] {
     benchmark::DoNotOptimize(regressor.PredictSecondsTape(encoded));
   });
-  // The autograd path as it stood before this optimization pass: same tape,
-  // i-k-j GEMM kernel (the packed tier landed together with the fast path).
-  tensor::SetPackedGemmEnabled(false);
-  result.tape_ikj_s = BestOf(reps, [&] {
-    benchmark::DoNotOptimize(regressor.PredictSecondsTape(encoded));
-  });
-  tensor::SetPackedGemmEnabled(true);
-  compile::SetCompileEnabled(false);
-  result.fast_s = BestOf(reps, [&] {
+  result.compiled = Time(reps, [&] {
     benchmark::DoNotOptimize(regressor.PredictSeconds(encoded));
   });
-  // The fast path exactly as PR 5 shipped it: no compiled programs AND the
-  // historical 6x16 two-vector register tile (the wide 12x16 tile landed with
-  // this PR). This is the baseline the compiled-speedup acceptance is against.
+  // The 6x16 tile is the only one on hosts without AVX-512; results are
+  // bit-identical, only speed differs.
   const bool wide_before = tensor::GemmWideTiles();
   tensor::SetGemmWideTiles(false);
-  result.fast_pr5_s = BestOf(reps, [&] {
+  result.compiled_narrow_tile = Time(reps, [&] {
     benchmark::DoNotOptimize(regressor.PredictSeconds(encoded));
   });
   tensor::SetGemmWideTiles(wide_before);
-  compile::SetCompileEnabled(true);
-  result.compiled_s = BestOf(reps, [&] {
-    benchmark::DoNotOptimize(regressor.PredictSeconds(encoded));
-  });
-  tensor::SetWeightPrec(tensor::GemmPrec::kBf16);
-  result.compiled_bf16_s = BestOf(reps, [&] {
-    benchmark::DoNotOptimize(regressor.PredictSeconds(encoded));
-  });
-  tensor::SetWeightPrec(tensor::GemmPrec::kInt8);
-  result.compiled_int8_s = BestOf(reps, [&] {
-    benchmark::DoNotOptimize(regressor.PredictSeconds(encoded));
-  });
-  tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-  std::cerr << "[bench] warm PredictSeconds (" << result.graph_nodes << " nodes): tape "
-            << result.tape_s * 1e3 << " ms, tape(i-k-j) " << result.tape_ikj_s * 1e3
-            << " ms, fast " << result.fast_s * 1e3 << " ms ("
-            << result.tape_s / result.fast_s << "x vs tape), fast(PR5 tile) "
-            << result.fast_pr5_s * 1e3 << " ms, compiled "
-            << result.compiled_s * 1e3 << " ms ("
-            << result.fast_s / result.compiled_s << "x vs fast, "
-            << result.fast_pr5_s / result.compiled_s << "x vs PR5), bf16 "
-            << result.compiled_bf16_s * 1e3 << " ms, int8 "
-            << result.compiled_int8_s * 1e3 << " ms\n";
+  std::cerr << "[bench] warm PredictSeconds (" << result.graph_nodes
+            << " nodes, median): tape " << result.tape.median_s * 1e3 << " ms, compiled "
+            << result.compiled.median_s * 1e3 << " ms ("
+            << result.tape.median_s / result.compiled.median_s << "x), compiled 6x16 tile "
+            << result.compiled_narrow_tile.median_s * 1e3 << " ms\n";
   return result;
 }
 
 struct BatchRow {
   std::int64_t batch = 0;
-  double sequential_s = 0.0;   // B sequential compiled forwards (the PR 9 replay)
-  double batched_s = 0.0;      // one stacked pass over the whole batch
-  double interleaved_s = 0.0;  // independent forwards fanned across a pool
-  double auto_s = 0.0;         // whatever ExecuteBatch's kAuto heuristic picks
+  Timing sequential;   // InferScalar per query on the calling thread
+  Timing interleaved;  // independent forwards fanned across a pool
+  Timing automatic;    // whatever ExecuteBatch's kAuto crossover picks
 };
 
 std::vector<BatchRow> RunBatchSweep(bool smoke) {
   // Same-shape batches of the paper-size stage with per-query feature
-  // perturbations (so the stacked path cannot cheat by deduplicating), run
-  // through the compiled executor sequentially, stacked, and interleaved.
+  // perturbations, run through the compiled executor sequentially and
+  // interleaved.
   const graph::EncodedGraph base = core::EncodeStage(SampleStage());
   core::PredictorOptions options;
   options.feature_dim = core::StageFeatureDim();
   auto model = core::MakePredictor(core::PredictorKind::kDagTransformer, options);
   const std::vector<std::int64_t> batches =
       smoke ? std::vector<std::int64_t>{4, 16} : std::vector<std::int64_t>{1, 4, 16, 64};
-  const int reps = smoke ? 3 : 10;
+  const int reps = smoke ? 3 : 11;
   const std::int64_t max_batch = batches.back();
 
   std::vector<graph::EncodedGraph> graphs(static_cast<std::size_t>(max_batch), base);
@@ -243,92 +204,67 @@ std::vector<BatchRow> RunBatchSweep(bool smoke) {
   for (const auto& g : graphs) ptrs.push_back(&g);
 
   util::ThreadPool pool(tensor::GemmThreads());
-  nn::InferenceContext& ctx = nn::ThreadLocalInferenceContext();
-  compile::SetCompileEnabled(true);
   std::vector<BatchRow> rows;
   for (const std::int64_t b : batches) {
     BatchRow row;
     row.batch = b;
-    std::vector<float> out(static_cast<std::size_t>(b));
-    row.sequential_s = BestOf(reps, [&] {
-      for (std::int64_t q = 0; q < b; ++q) {
-        benchmark::DoNotOptimize(model->InferScalar(graphs[static_cast<std::size_t>(q)], ctx));
+    const auto count = static_cast<std::size_t>(b);
+    std::vector<float> out(count);
+    row.sequential = Time(reps, [&] {
+      for (std::size_t q = 0; q < count; ++q) {
+        benchmark::DoNotOptimize(model->InferScalar(graphs[q]));
       }
-    });
-    compile::BatchOptions stacked;
-    stacked.mode = compile::BatchMode::kBatched;
-    row.batched_s = BestOf(reps, [&] {
-      (void)model->TryInferCompiledBatch(ptrs.data(), static_cast<std::size_t>(b),
-                                         out.data(), stacked);
-      benchmark::DoNotOptimize(out.data());
     });
     compile::BatchOptions interleaved;
     interleaved.mode = compile::BatchMode::kInterleaved;
     interleaved.pool = &pool;
-    row.interleaved_s = BestOf(reps, [&] {
-      (void)model->TryInferCompiledBatch(ptrs.data(), static_cast<std::size_t>(b),
-                                         out.data(), interleaved);
+    row.interleaved = Time(reps, [&] {
+      model->InferScalarBatch(ptrs.data(), count, out.data(), interleaved);
       benchmark::DoNotOptimize(out.data());
     });
-    row.auto_s = BestOf(reps, [&] {
-      (void)model->TryInferCompiledBatch(ptrs.data(), static_cast<std::size_t>(b),
-                                         out.data(), compile::BatchOptions{});
+    row.automatic = Time(reps, [&] {
+      model->InferScalarBatch(ptrs.data(), count, out.data(), compile::BatchOptions{});
       benchmark::DoNotOptimize(out.data());
     });
-    std::cerr << "[bench] batch " << b << ": sequential "
-              << row.sequential_s / static_cast<double>(b) * 1e6 << " us/query, stacked "
-              << row.batched_s / static_cast<double>(b) * 1e6 << " us/query ("
-              << row.sequential_s / row.batched_s << "x), interleaved "
-              << row.interleaved_s / static_cast<double>(b) * 1e6 << " us/query ("
-              << row.sequential_s / row.interleaved_s << "x), auto "
-              << row.auto_s / static_cast<double>(b) * 1e6 << " us/query\n";
+    const double per = 1e6 / static_cast<double>(b);
+    std::cerr << "[bench] batch " << b << " (median): sequential "
+              << row.sequential.median_s * per << " us/query, interleaved "
+              << row.interleaved.median_s * per << " us/query ("
+              << row.sequential.median_s / row.interleaved.median_s << "x), auto "
+              << row.automatic.median_s * per << " us/query\n";
     rows.push_back(row);
   }
   return rows;
 }
 
 void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
-               const ArenaResult& arena, const PredictResult& predict,
-               const std::vector<BatchRow>& batch, bool smoke) {
+               const PredictResult& predict, const std::vector<BatchRow>& batch, bool smoke) {
   std::ofstream out(path);
-  out << "{\n  \"smoke\": " << (smoke ? "true" : "false") << ",\n  \"gemm\": [\n";
+  out << "{\n  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+      << ", \"isa\": \"" << CompiledIsa() << "\", \"gemm_threads\": "
+      << tensor::GemmThreads() << "},\n";
+  out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n  \"gemm\": [\n";
   for (std::size_t i = 0; i < gemm.size(); ++i) {
     const GemmRow& row = gemm[i];
-    out << "    {\"size\": " << row.size << ", \"naive_s\": " << row.naive_s
-        << ", \"packed_s\": " << row.packed_s << ", \"packed_threads_s\": " << row.threaded_s
-        << ", \"speedup_packed\": " << row.naive_s / row.packed_s
-        << ", \"speedup_packed_threads\": " << row.naive_s / row.threaded_s << "}"
+    out << "    {\"size\": " << row.size << ", " << JsonTiming("naive", row.naive) << ", "
+        << JsonTiming("packed", row.packed) << ", " << JsonTiming("packed_threads", row.threaded)
+        << ", \"speedup_packed\": " << row.naive.median_s / row.packed.median_s << "}"
         << (i + 1 < gemm.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"arena\": {\"allocs_per_epoch\": " << arena.allocs_per_epoch
-      << ", \"floats_per_alloc\": " << arena.floats_per_alloc
-      << ", \"arena_s\": " << arena.arena_s << ", \"malloc_s\": " << arena.malloc_s
-      << ", \"speedup\": " << arena.malloc_s / arena.arena_s << "},\n";
-  out << "  \"predict_gpt3_stage\": {\"graph_nodes\": " << predict.graph_nodes
-      << ", \"tape_s\": " << predict.tape_s << ", \"tape_ikj_s\": " << predict.tape_ikj_s
-      << ", \"fast_s\": " << predict.fast_s
-      << ", \"fast_pr5_s\": " << predict.fast_pr5_s
-      << ", \"compiled_s\": " << predict.compiled_s
-      << ", \"compiled_bf16_s\": " << predict.compiled_bf16_s
-      << ", \"compiled_int8_s\": " << predict.compiled_int8_s
-      << ", \"speedup_vs_tape\": " << predict.tape_s / predict.fast_s
-      << ", \"speedup_vs_ikj_tape\": " << predict.tape_ikj_s / predict.fast_s
-      << ", \"speedup_compiled_vs_fast\": " << predict.fast_s / predict.compiled_s
-      << ", \"speedup_compiled_vs_fast_pr5\": " << predict.fast_pr5_s / predict.compiled_s
-      << ", \"speedup_compiled_vs_tape\": " << predict.tape_s / predict.compiled_s << "},\n";
+  out << "  ],\n  \"predict_gpt3_stage\": {\"graph_nodes\": " << predict.graph_nodes
+      << ", " << JsonTiming("tape", predict.tape) << ", "
+      << JsonTiming("compiled", predict.compiled) << ", "
+      << JsonTiming("compiled_narrow_tile", predict.compiled_narrow_tile)
+      << ", \"speedup_compiled_vs_tape\": "
+      << predict.tape.median_s / predict.compiled.median_s << "},\n";
   out << "  \"batch_predict\": [\n";
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const BatchRow& row = batch[i];
-    const double b = static_cast<double>(row.batch);
-    out << "    {\"batch\": " << row.batch << ", \"sequential_s\": " << row.sequential_s
-        << ", \"batched_s\": " << row.batched_s
-        << ", \"interleaved_s\": " << row.interleaved_s << ", \"auto_s\": " << row.auto_s
-        << ", \"sequential_per_query_us\": " << row.sequential_s / b * 1e6
-        << ", \"batched_per_query_us\": " << row.batched_s / b * 1e6
-        << ", \"interleaved_per_query_us\": " << row.interleaved_s / b * 1e6
-        << ", \"speedup_batched\": " << row.sequential_s / row.batched_s
-        << ", \"speedup_interleaved\": " << row.sequential_s / row.interleaved_s
-        << ", \"speedup_auto\": " << row.sequential_s / row.auto_s << "}"
+    out << "    {\"batch\": " << row.batch << ", " << JsonTiming("sequential", row.sequential)
+        << ", " << JsonTiming("interleaved", row.interleaved) << ", "
+        << JsonTiming("auto", row.automatic) << ", \"speedup_interleaved\": "
+        << row.sequential.median_s / row.interleaved.median_s << ", \"speedup_auto\": "
+        << row.sequential.median_s / row.automatic.median_s << "}"
         << (i + 1 < batch.size() ? "," : "") << "\n";
   }
   const compile::TuneTable& tune = compile::ResolvedTuneTable();
@@ -337,8 +273,7 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
       << ", \"interleave_min_batch\": " << tune.interleave_min_batch
       << ", \"interleave_min_flops\": " << tune.interleave_min_flops
       << ", \"autotuned\": " << (tune.autotuned ? "true" : "false")
-      << ", \"sweeps\": " << compile::AutotuneSweeps()
-      << ", \"gemm_threads\": " << tensor::GemmThreads() << "}\n}\n";
+      << ", \"sweeps\": " << compile::AutotuneSweeps() << "}\n}\n";
   std::cerr << "[bench] wrote " << path << "\n";
 }
 
@@ -432,7 +367,7 @@ void BM_DagTransformerForward(benchmark::State& state) {
 }
 BENCHMARK(BM_DagTransformerForward);
 
-void BM_DagTransformerInferForward(benchmark::State& state) {
+void BM_DagTransformerCompiledForward(benchmark::State& state) {
   const graph::EncodedGraph encoded = core::EncodeStage(SampleStage());
   core::PredictorOptions options;
   options.feature_dim = core::StageFeatureDim();
@@ -440,13 +375,12 @@ void BM_DagTransformerInferForward(benchmark::State& state) {
   options.dagt_layers = 2;
   options.dagt_heads = 2;
   auto model = core::MakePredictor(core::PredictorKind::kDagTransformer, options);
-  auto& ctx = nn::ThreadLocalInferenceContext();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model->InferScalar(encoded, ctx));
+    benchmark::DoNotOptimize(model->InferScalar(encoded));
   }
   state.SetLabel(std::to_string(encoded.num_nodes) + " nodes");
 }
-BENCHMARK(BM_DagTransformerInferForward);
+BENCHMARK(BM_DagTransformerCompiledForward);
 
 void BM_GcnForward(benchmark::State& state) {
   const graph::EncodedGraph encoded = core::EncodeStage(SampleStage());
@@ -468,10 +402,9 @@ int main(int argc, char** argv) {
   const std::string json_path =
       util::EnvString("PREDTOP_BENCH_JSON").value_or("BENCH_kernels.json");
   const std::vector<GemmRow> gemm = RunGemmSweep(smoke);
-  const ArenaResult arena = RunArenaVsMalloc(smoke);
   const PredictResult predict = RunPredictComparison(smoke);
   const std::vector<BatchRow> batch = RunBatchSweep(smoke);
-  WriteJson(json_path, gemm, arena, predict, batch, smoke);
+  WriteJson(json_path, gemm, predict, batch, smoke);
   if (smoke) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -14,9 +14,12 @@
 #                        NaN/delay faults during a real plan search, which
 #                        must still produce a valid finite plan)
 #   ci/run.sh perf       additional -march=native build (build-native/), the
-#                        fast-path parity + tensor suites under it, and a
-#                        smoke micro_kernels run recording GEMM / arena /
-#                        warm-predict speedups to build-native/BENCH_kernels.json
+#                        inference parity + tensor suites under it, the
+#                        plan-search benchmark's own tests
+#                        (planbench/run.py --test), and a micro_kernels
+#                        headline run (GEMM tiers, warm tape vs compiled
+#                        predict, batch executor modes, host nproc/ISA)
+#                        rewriting the committed BENCH_kernels.json
 #   ci/run.sh train      training lane: the parallel-backward / trainer /
 #                        online-refresh suites plus a smoke train_throughput
 #                        run recording epoch time vs thread count (and
@@ -25,23 +28,17 @@
 #                        wire-codec fuzz, router + shard workers over Unix
 #                        sockets, fork/exec worker processes, and the SIGKILL
 #                        mid-plan-search failover drill
-#   ci/run.sh compile    compiled-inference lane: ASan/UBSan build of the
-#                        compile suite (fp32 plan-vs-tape parity, planner
-#                        properties, allocation-free warm forwards, bf16/int8
-#                        tier parity + MRE neutrality, program-cache LRU and
-#                        owner eviction) plus the fast-path parity suites,
-#                        then the fig10 compile drill (plan search with
-#                        PREDTOP_COMPILE off vs on on both paper platforms,
-#                        asserting the chosen plans are equal)
-#   ci/run.sh batch      batch-compiled-execution lane: ASan/UBSan build of
-#                        the compile + serve suites (stacked/interleaved
-#                        bit-parity across batch sizes and thread counts,
-#                        mixed-shape grouping, batched warm-buffer reuse,
-#                        tune-table resolution, PredictMany batch-vs-legacy
-#                        parity), then the fig10 batch drill with
-#                        PREDTOP_AUTOTUNE=1 (plan search with
-#                        PREDTOP_BATCH_COMPILE off vs on on both paper
-#                        platforms, asserting bit-equal plans)
+#   ci/run.sh engine     inference-engine lane: ASan/UBSan build of the
+#                        compile + serve suites (compiled-vs-tape parity incl.
+#                        degenerate shapes, typed rejection of malformed
+#                        inputs, planner properties, allocation-free warm
+#                        forwards and batches, batch-executor bit parity,
+#                        program-cache LRU and owner eviction, PredictMany
+#                        vs per-query Predict) plus the fast-path parity
+#                        suite, then the fig10 engine drill on both paper
+#                        platforms with PREDTOP_AUTOTUNE=1 (batch-oracle plan
+#                        bit-equal to the per-query plan and matching a
+#                        tape-priced plan)
 #   ci/run.sh overload   overload-protection lane: the deadline / admission /
 #                        router-timeout / reaping suites, the supervisor
 #                        fork/exec suite (crash-loop quarantine, hung-worker
@@ -78,39 +75,17 @@ if [[ "${1:-}" == "fault" ]]; then
     ./build-asan/bench/fig10_optimization
 fi
 
-if [[ "${1:-}" == "compile" ]]; then
+if [[ "${1:-}" == "engine" ]]; then
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
-    --target compile_test infer_test fig10_optimization
-  # Full compile suite under ASan/UBSan: fp32 parity for every predictor,
-  # planner properties, the arena high-water-mark (allocation-free warm
-  # forward) assertion, bf16/int8 parity + MRE bounds, cache LRU/eviction,
-  # and concurrent compiled forwards. The parity filter re-drives every fast
-  # kernel the compiled programs call into.
+    --target compile_test serve_test infer_test fig10_optimization
   ./build-asan/tests/compile_test
+  ./build-asan/tests/serve_test --gtest_filter='Service.*:ServingOracle.*'
   ./build-asan/tests/infer_test --gtest_filter='InferParity.*:PackedGemm.*'
-  # Plan search with compiled programs off then on, both paper platforms:
-  # the plans must be equal and the compiled path must actually engage.
-  PREDTOP_COMPILE_DRILL=1 PREDTOP_EPOCHS=40 ./build-asan/bench/fig10_optimization
-fi
-
-if [[ "${1:-}" == "batch" ]]; then
-  cmake --preset asan >/dev/null
-  cmake --build --preset asan -j "$(nproc)" \
-    --target compile_test serve_test fig10_optimization
-  # Batch executors under ASan/UBSan: stacked + interleaved bit-parity for
-  # every predictor across batch sizes {1,2,7,64} and pool widths {1,2,8},
-  # mixed-shape regressor grouping, the batched warm-buffer (zero-allocation)
-  # pins, program-cache hit/miss counters, and tune-table resolution.
-  ./build-asan/tests/compile_test \
-    --gtest_filter='CompiledBatch*.*:TuneTableResolution.*:ProgramCache.*'
-  # PredictMany's batch path vs the legacy fan-out path, plus the exported
-  # compiled-path counters.
-  ./build-asan/tests/serve_test --gtest_filter='Service.*'
-  # Plan search with the batch executors off then on, both paper platforms,
-  # with the runtime autotuner enabled for the drill: the chosen plans must
-  # be BIT-equal (the executors are exact) and the batch path must engage.
-  PREDTOP_AUTOTUNE=1 PREDTOP_BATCH_DRILL=1 PREDTOP_EPOCHS=40 \
+  # Plan search on both paper platforms through the per-query oracle, the
+  # batch oracle and a tape-priced oracle, with the runtime autotuner on:
+  # batch == per-query to the bit, and batch matches the tape plan.
+  PREDTOP_AUTOTUNE=1 PREDTOP_ENGINE_DRILL=1 PREDTOP_EPOCHS=40 \
     ./build-asan/bench/fig10_optimization
 fi
 
@@ -129,14 +104,13 @@ if [[ "${1:-}" == "tsan" ]]; then
   # Background fine-tune thread hot-swapping checkpoints under live serving.
   ./build-tsan/tests/online_test
   ./build-tsan/tests/serve_test --gtest_filter='LruCache.*:Service.*:ServingOracle.PredictBatchMatchesScalarQueries:ThreadPool.*'
-  # Concurrent tape-free forwards on one shared model (arena-per-thread,
-  # lazy packed-weight cache) plus the parity suites that drive every fast
-  # kernel at least once under TSan.
+  # Concurrent compiled forwards on one shared model (per-thread plan
+  # buffers, lazy packed-weight snapshots) plus the parity suites that drive
+  # every kernel at least once under TSan.
   ./build-tsan/tests/infer_test --gtest_filter='InferConcurrency.*:InferParity.*'
-  # Concurrent *compiled* forwards on one shared model: the program cache's
-  # build-once-per-shape race, per-thread plan buffers, and the packed
-  # weight tiers under simultaneous readers — sequential and batched (the
-  # stacked executor's snapshot/cache/mask-run sharing across threads).
+  # The program cache's build-once-per-shape race, per-thread plan buffers,
+  # and the weight snapshots under simultaneous readers — single forwards
+  # and batches.
   ./build-tsan/tests/compile_test \
     --gtest_filter='CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTapeAndFastPath'
   # Router concurrency: the cluster-wide coalescing map, per-worker
@@ -157,8 +131,12 @@ if [[ "${1:-}" == "perf" ]]; then
   ./build-native/tests/tensor_test
   ./build-native/tests/nn_test
   ./build-native/tests/infer_test
-  PREDTOP_BENCH_SMOKE=1 PREDTOP_BENCH_JSON=build-native/BENCH_kernels.json \
-    ./build-native/bench/micro_kernels
+  # The plan-search benchmark's own tests (percentile rule, span self time,
+  # Chrome trace, plan checker), built by planbench/run.py.
+  python3 planbench/run.py --test
+  # Headline rows only (the filter skips the google-benchmark suite).
+  PREDTOP_BENCH_JSON=BENCH_kernels.json \
+    ./build-native/bench/micro_kernels --benchmark_filter='^$'
 fi
 
 if [[ "${1:-}" == "train" ]]; then

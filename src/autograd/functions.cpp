@@ -185,15 +185,11 @@ Variable LayerNorm(const Variable& x, const Variable& gain, const Variable& bias
   const float* pgain = gain.value().data().data();
   const float* pbias = bias.value().data().data();
   for (std::int64_t i = 0; i < rows; ++i) {
-    float mean = 0.0f;
-    for (std::int64_t j = 0; j < cols; ++j) mean += px[i * cols + j];
-    mean /= static_cast<float>(cols);
-    float var = 0.0f;
-    for (std::int64_t j = 0; j < cols; ++j) {
-      const float d = px[i * cols + j] - mean;
-      var += d * d;
-    }
-    var /= static_cast<float>(cols);
+    // The same lane-split reductions as the compiled inference kernel
+    // (tensor::fused::LayerNormRow), so inference matches this forward.
+    const float* xrow = px + i * cols;
+    const float mean = tensor::simd::Sum(xrow, cols) / static_cast<float>(cols);
+    const float var = tensor::simd::SumSquaredDiff(xrow, mean, cols) / static_cast<float>(cols);
     const float inv = 1.0f / std::sqrt(var + eps);
     inv_sigma[i] = inv;
     for (std::int64_t j = 0; j < cols; ++j) {

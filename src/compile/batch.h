@@ -1,26 +1,15 @@
 #pragma once
-// Batch-level compiled execution. ExecuteBatch runs an entire same-shape
-// query set through one InferProgram with the weight-tier snapshot, the
-// DAGRA mask-run CSRs, and the static arena plan resolved ONCE for the whole
-// batch, then executes in one of two ways:
+// Batch-level compiled execution. ExecuteBatch runs a same-shape query set
+// through one InferProgram in one of two ways:
 //
-//  - kBatched: one pass over the step list with every row-wise step (the
-//    Linear family, activations, LayerNorm, Concat2, MatVec, RowScale,
-//    AddRowVector) run as a single stacked call over all B queries' rows —
-//    so each packed weight panel streams through the cache once per batch
-//    instead of once per query — while graph-structured steps (attention,
-//    Spmm, Pool, edge/segment ops) loop per query. The plan buffer is the
-//    sequential plan scaled by B: value v's query-q block lives at
-//    offsets[v]*B + q*size(v), which preserves the planner's disjointness
-//    proof and keeps every query's blocks contiguous for stacked GEMMs.
+//  - kSequential: a plain Execute loop on the calling thread (one plan
+//    buffer, one weight snapshot check per query);
 //  - kInterleaved: independent sequential forwards fanned across a worker
-//    pool, one per query, each on its own thread-local plan buffer.
+//    pool, one per query, each on its worker's own plan buffer.
 //
-// Both paths are bit-identical to B sequential Execute calls: stacking rows
-// into one GEMM never changes a row's bits (each output element accumulates
-// in ascending-k order in its own lane, independent of m), and interleaving
-// just runs the sequential executor. kAuto picks by a cost heuristic from
-// the runtime TuneTable (see tune.h).
+// Both are bit-identical to `count` Execute calls — interleaving just runs
+// the sequential executor on other threads. kAuto interleaves when the
+// runtime TuneTable's crossover says the pool pays for itself (see tune.h).
 
 #include <cstddef>
 #include <cstdint>
@@ -33,40 +22,29 @@ class ThreadPool;
 
 namespace predtop::compile {
 
-/// Process-wide switch for the batch path (PREDTOP_BATCH_COMPILE, default
-/// on). Off, PredictBatch / PredictMany fall back to sequential compiled
-/// replay — the pre-batch behavior, bit-identical by construction.
-[[nodiscard]] bool BatchCompileEnabled() noexcept;
-void SetBatchCompileEnabled(bool enabled) noexcept;
-
 enum class BatchMode {
-  kAuto,         ///< cost heuristic from the TuneTable
-  kBatched,      ///< stacked row-wise steps, per-query graph steps
+  kAuto,         ///< interleave past the TuneTable crossover, else sequential
+  kSequential,   ///< Execute loop on the calling thread
   kInterleaved,  ///< independent sequential forwards across a pool
 };
 
 struct BatchOptions {
   BatchMode mode = BatchMode::kAuto;
   /// Pool for kInterleaved (null = an internal pool sized like the GEMM
-  /// pool). kBatched ignores it: stacked GEMMs fan out through the tensor
-  /// layer's own threading when large enough.
+  /// pool).
   util::ThreadPool* pool = nullptr;
 };
 
 /// Run `count` same-shape queries through `p`; `out` receives one scalar per
-/// query. Every input must pass the same validation as Execute (same shape
-/// class as `p`, mask/pe present when the program wants them) or the whole
-/// call returns false and the caller falls back to sequential replay.
-/// Results are bit-identical to `count` sequential Execute calls.
-bool ExecuteBatch(const InferProgram& p, const ExecInputs* in, std::size_t count,
+/// query. Throws std::invalid_argument when an input does not match the
+/// program (see Execute). Results are bit-identical to `count` sequential
+/// Execute calls.
+void ExecuteBatch(const InferProgram& p, const ExecInputs* in, std::size_t count,
                   float* out, const BatchOptions& opts = {});
 
-/// Floats held by this thread's batched plan buffer (test hook mirroring
-/// ThreadPlanBufferFloats: stable across warm batches = no reallocation).
-[[nodiscard]] std::int64_t ThreadBatchBufferFloats() noexcept;
-
-/// Process-wide counters: queries executed through the stacked path /
-/// the interleaved path. Surfaced via ServiceStats and cluster StatsBody.
+/// Process-wide counters: queries ExecuteBatch ran sequentially on the
+/// calling thread / interleaved across a pool. Surfaced via ServiceStats and
+/// the cluster StatsBody.
 [[nodiscard]] std::uint64_t BatchedForwards() noexcept;
 [[nodiscard]] std::uint64_t InterleavedForwards() noexcept;
 

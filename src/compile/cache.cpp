@@ -10,21 +10,6 @@
 
 namespace predtop::compile {
 
-namespace {
-
-std::atomic<bool>& CompileFlag() noexcept {
-  static std::atomic<bool> enabled{util::EnvInt("PREDTOP_COMPILE", 1) != 0};
-  return enabled;
-}
-
-}  // namespace
-
-bool CompileEnabled() noexcept { return CompileFlag().load(std::memory_order_relaxed); }
-
-void SetCompileEnabled(bool enabled) noexcept {
-  CompileFlag().store(enabled, std::memory_order_relaxed);
-}
-
 std::uint64_t NextOwnerId() noexcept {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -61,15 +46,15 @@ ProgramCache& ProgramCache::Global() {
   return *cache;
 }
 
-std::optional<std::shared_ptr<InferProgram>> ProgramCache::Lookup(std::uint64_t owner,
-                                                                  std::int64_t num_nodes,
-                                                                  std::int64_t num_edges) {
+std::shared_ptr<InferProgram> ProgramCache::Lookup(std::uint64_t owner,
+                                                  std::int64_t num_nodes,
+                                                  std::int64_t num_edges) {
   const Impl::Key key{owner, num_nodes, num_edges};
   std::lock_guard<std::mutex> lock(impl_->mutex);
   const auto it = impl_->index.find(key);
   if (it == impl_->index.end()) {
     impl_->misses.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    return nullptr;
   }
   impl_->hits.fetch_add(1, std::memory_order_relaxed);
   impl_->lru.splice(impl_->lru.begin(), impl_->lru, it->second);

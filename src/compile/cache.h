@@ -3,24 +3,14 @@
 // (owner instance, shape class). Programs hold raw pointers into their
 // owner's modules, so the owner's destructor MUST evict its entries
 // (core::StagePredictor does) — otherwise a hot-swapped model would leak its
-// programs *and* leave dangling weight pointers behind, the compiled-path
-// cousin of the packed-weight-cache leak this PR fixes.
-//
-// Misses for predictors that cannot be compiled are cached as null markers so
-// the builder runs once per shape class, not once per call.
+// programs *and* leave dangling weight pointers behind.
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "compile/program.h"
 
 namespace predtop::compile {
-
-/// PREDTOP_COMPILE (default 1) gates every compiled-path caller;
-/// SetCompileEnabled is the in-process override (benchmarks A/B with it).
-[[nodiscard]] bool CompileEnabled() noexcept;
-void SetCompileEnabled(bool enabled) noexcept;
 
 /// Monotonic owner ids for program cache keys (one per StagePredictor).
 [[nodiscard]] std::uint64_t NextOwnerId() noexcept;
@@ -29,13 +19,12 @@ class ProgramCache {
  public:
   [[nodiscard]] static ProgramCache& Global();
 
-  /// Cached program (possibly a null marker) for the key, bumping recency.
-  /// nullopt = never built for this key.
-  [[nodiscard]] std::optional<std::shared_ptr<InferProgram>> Lookup(
-      std::uint64_t owner, std::int64_t num_nodes, std::int64_t num_edges);
+  /// Cached program for the key, bumping recency; nullptr = not cached.
+  [[nodiscard]] std::shared_ptr<InferProgram> Lookup(std::uint64_t owner,
+                                                     std::int64_t num_nodes,
+                                                     std::int64_t num_edges);
 
-  /// Insert (evicting least-recently-used entries beyond capacity). Null
-  /// programs are legal and mark "not compilable for this shape".
+  /// Insert (evicting least-recently-used entries beyond capacity).
   void Insert(std::uint64_t owner, std::int64_t num_nodes, std::int64_t num_edges,
               std::shared_ptr<InferProgram> program);
 
@@ -47,9 +36,8 @@ class ProgramCache {
   /// Test hook; the process default comes from PREDTOP_COMPILE_CACHE.
   void SetCapacity(std::size_t capacity);
 
-  /// Lifetime Lookup outcomes (hit = key present, even as a null marker;
-  /// miss = never built). Monotonic — Clear/EvictOwner don't reset them.
-  /// Surfaced through serve::ServiceStats and the cluster StatsBody.
+  /// Lifetime Lookup outcomes. Monotonic — Clear/EvictOwner don't reset
+  /// them. Surfaced through serve::ServiceStats and the cluster StatsBody.
   [[nodiscard]] std::uint64_t Hits() const noexcept;
   [[nodiscard]] std::uint64_t Misses() const noexcept;
 

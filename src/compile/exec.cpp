@@ -2,9 +2,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "compile/exec_detail.h"
 #include "compile/program.h"
 #include "tensor/fused.h"
 #include "tensor/ops.h"
@@ -15,11 +16,34 @@ namespace predtop::compile {
 
 namespace {
 
+/// Lanes below this are treated as -inf masked (matches the autograd mask
+/// builder's -1e30 sentinel with headroom).
+constexpr float kNegInfCut = -1e30f;
+
+/// Per-graph open-lane structure of the DAGRA reachability mask, shared by
+/// every attention step of one forward (the mask is identical across layers
+/// and heads). Grow-only members so a warm rebuild never allocates.
+struct MaskRuns {
+  /// Per-row window hull: lanes outside [win_lo[i], win_hi[i]) are -inf.
+  std::vector<std::int32_t> win_lo;
+  std::vector<std::int32_t> win_hi;
+  /// Open-lane runs, CSR over rows: row i's [lo, hi) pairs live at
+  /// chunk_bounds[2 * chunk_start[i] .. 2 * chunk_start[i + 1]).
+  std::vector<std::int32_t> chunk_start;
+  std::vector<std::int32_t> chunk_bounds;
+  /// Per GEMM row block (kGemmMr rows): the block's row runs merged and
+  /// rounded out to packed-panel granularity — the column ranges the logits
+  /// GEMM must actually compute.
+  std::vector<std::int32_t> brun_start;
+  std::vector<std::int32_t> brun_bounds;
+  std::vector<std::int32_t> brun_scratch;
+};
+
 /// Thread-local execution state: the flat plan buffer and the per-row mask
 /// windows. Grow-only so a warm forward never allocates.
 struct ExecState {
   std::vector<float> buf;
-  detail::MaskRuns runs;
+  MaskRuns runs;
 };
 
 ExecState& ThreadExecState() {
@@ -27,10 +51,8 @@ ExecState& ThreadExecState() {
   return state;
 }
 
-}  // namespace
-
-namespace detail {
-
+/// True when the program contains a fused-attention step (the only consumer
+/// of MaskRuns).
 bool NeedsMaskRuns(const InferProgram& p) noexcept {
   for (const Step& s : p.steps) {
     if (s.kind == OpKind::kFusedAttention) return true;
@@ -38,37 +60,57 @@ bool NeedsMaskRuns(const InferProgram& p) noexcept {
   return false;
 }
 
-bool ValidateInputs(const InferProgram& p, const ExecInputs& in) noexcept {
-  if (in.g == nullptr || p.output == kNoValue) return false;
+/// The shape/presence checks Execute performs before touching the plan
+/// buffer; throws std::invalid_argument naming the first mismatch.
+void CheckInputs(const InferProgram& p, const ExecInputs& in) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string("compile::Execute: ") + what);
+  };
+  if (in.g == nullptr || p.output == kNoValue) reject("no graph or empty program");
   const graph::EncodedGraph& g = *in.g;
-  if (g.num_nodes != p.num_nodes) return false;
-  if (static_cast<std::int64_t>(g.edge_src.size()) != p.num_edges) return false;
+  if (g.num_nodes != p.num_nodes ||
+      static_cast<std::int64_t>(g.edge_src.size()) != p.num_edges) {
+    reject("graph shape class differs from the program's");
+  }
   if (g.features.rank() != 2 || g.features.dim(0) != p.num_nodes ||
       g.features.dim(1) != p.feature_dim) {
-    return false;
+    reject("feature width mismatch");
   }
 
   bool wants_mask = false;
-  bool wants_pe = false;
+  bool wants_adj = false;
+  bool wants_edges = false;
   for (const Step& s : p.steps) {
-    if ((s.kind == OpKind::kFusedAttention || s.kind == OpKind::kAttnHeads) && s.use_mask) {
-      wants_mask = true;
+    switch (s.kind) {
+      case OpKind::kFusedAttention:
+      case OpKind::kAttnHeads: wants_mask |= s.use_mask; break;
+      case OpKind::kSpmm: wants_adj = true; break;
+      case OpKind::kEdgeScores:
+      case OpKind::kSegmentSoftmax:
+      case OpKind::kGatherRows:
+      case OpKind::kSegmentSum: wants_edges = true; break;
+      default: break;
     }
   }
+  bool wants_pe = false;
   for (const ValueInfo& v : p.values) {
     if (v.external == External::kDepthPe) wants_pe = true;
   }
   if (wants_mask && (in.mask == nullptr || in.mask->rank() != 2 ||
                      in.mask->dim(0) != p.num_nodes || in.mask->dim(1) != p.num_nodes)) {
-    return false;
+    reject("missing or misshapen attention mask");
   }
-  if (wants_pe && in.pe == nullptr) return false;
-  return true;
+  if (wants_pe && in.pe == nullptr) reject("missing depth encoding");
+  if (wants_adj && (g.adj_norm == nullptr || g.adj_norm->rows != p.num_nodes)) {
+    reject("missing normalized adjacency");
+  }
+  if (wants_edges && g.edge_dst.size() != g.edge_src.size()) {
+    reject("edge_src and edge_dst differ in length");
+  }
 }
 
-/// y(m, n) = x(m, k) * W with the tier resolved at build time — the
-/// same kernels (and where applicable the same cached packs) as
-/// nn::Linear::InferForward, minus the per-call mutex and dispatch.
+/// y(m, n) = x(m, k) * W with the tier resolved at build time — the same
+/// kernels as tensor::MatMul's dispatch, against the snapshot's cached packs.
 void LinearGemm(const Step& s, const std::shared_ptr<const nn::Linear::InferWeights>& w,
                 const float* x, std::int64_t m, float* y) {
   const nn::Linear& lin = *s.linear;
@@ -76,17 +118,7 @@ void LinearGemm(const Step& s, const std::shared_ptr<const nn::Linear::InferWeig
   const std::int64_t n = lin.OutFeatures();
   switch (s.tier) {
     case GemmTier::kPacked:
-      switch (w->prec) {
-        case tensor::GemmPrec::kBf16:
-          tensor::MatMulPackedB16Into(x, m, w->pack16, y);
-          break;
-        case tensor::GemmPrec::kInt8:
-          tensor::MatMulPackedB8Into(x, m, w->pack8, y);
-          break;
-        default:
-          tensor::MatMulPackedInto(x, m, w->pack, y);
-          break;
-      }
+      tensor::MatMulPackedInto(x, m, w->pack, y);
       break;
     case GemmTier::kNarrow: {
       const float* wt = w->weight_t.data().data();
@@ -117,11 +149,13 @@ void LinearGemm(const Step& s, const std::shared_ptr<const nn::Linear::InferWeig
   }
 }
 
-const float* LinearBias(const Step& s) {
+[[nodiscard]] const float* LinearBias(const Step& s) {
   const autograd::Variable* b = s.linear->Bias();
   return b != nullptr ? b->value().data().data() : nullptr;
 }
 
+/// Scan in.mask (or synthesize full windows when the program's attention is
+/// unmasked) into `state`. Warm calls reuse the vectors' capacity.
 void BuildMaskRuns(const InferProgram& p, const ExecInputs& in, MaskRuns& state) {
   bool wants_mask = false;
   for (const Step& s : p.steps) {
@@ -225,8 +259,6 @@ void BuildMaskRuns(const InferProgram& p, const ExecInputs& in, MaskRuns& state)
   }
 }
 
-namespace {
-
 /// Mask-aware fused attention: combined q|k|v projection, per-head windowed
 /// logits GEMM, deferred softmax restricted to each row's open-lane window,
 /// and a k-windowed weights*V GEMM written straight into the head's column
@@ -234,8 +266,8 @@ namespace {
 /// masked, so their weights are exact zeros and skipping them leaves every
 /// surviving accumulation term bit-identical.
 void RunFusedAttention(const InferProgram& p, const Step& s,
-                       const InferProgram::Snapshot& snap, const ExecInputs& in,
-                       const float* x, float* y, float* scratch, const MaskRuns& state) {
+                       const InferProgram::Snapshot& snap, const float* x, float* y,
+                       float* scratch, const MaskRuns& state) {
   const nn::MultiheadMaskedAttention& at = *s.attn;
   const std::int64_t n = p.num_nodes;
   const std::int64_t d = at.Dim();
@@ -248,20 +280,10 @@ void RunFusedAttention(const InferProgram& p, const Step& s,
   float* invs = logits + n * n;
   float* packbuf = invs + n;
 
-  switch (snap.prec) {
-    case tensor::GemmPrec::kBf16:
-      tensor::MatMulPackedB16StridedInto(x, n, d, as.qkv16, qkv, d3);
-      break;
-    case tensor::GemmPrec::kInt8:
-      tensor::MatMulPackedB8StridedInto(x, n, d, as.qkv8, qkv, d3);
-      break;
-    default:
-      tensor::MatMulPackedViewStridedInto(x, n, d, tensor::ViewOf(as.qkv), qkv, d3);
-      break;
-  }
+  tensor::MatMulPackedViewStridedInto(x, n, d, tensor::ViewOf(as.qkv), qkv, d3);
   tensor::fused::BiasActRows(qkv, n, d3, d3, as.bias.data(), tensor::fused::Act::kNone);
-  // Fold 1/sqrt(dk) into the q columns (post-bias, exactly like the op-by-op
-  // fast path's ScaleInPlace on the q projection).
+  // Fold 1/sqrt(dk) into the q columns (post-bias, exactly like the unfused
+  // chain's kScale on the q projection).
   for (std::int64_t i = 0; i < n; ++i) {
     float* row = qkv + i * d3;
     for (std::int64_t j = 0; j < d; ++j) row[j] *= s.scalar;
@@ -315,12 +337,12 @@ void RunFusedAttention(const InferProgram& p, const Step& s,
   }
 }
 
-/// Unfused attention heads, mirroring MultiheadMaskedAttention::InferForward
-/// bit for bit at the shape classes the fuser declines: the same
-/// UsePackedGemm gates pick between the strided-deferred branch and the
-/// slice-based branch, and within each GEMM the same packed/narrow/naive
-/// tier dispatch as infer::MatMul runs. Head outputs land directly in their
-/// column block of `y`, which is bitwise the ConcatCols result.
+/// Unfused attention heads, at the shape classes the fuser declines: the
+/// tape's MultiheadMaskedAttention forward step for step — per-head slices,
+/// logits = (q_h k_h^T) * scale, normalized masked softmax, weights * v_h —
+/// with each GEMM on tensor::MatMul's packed/narrow/naive tier for its
+/// shape. Head outputs land directly in their column block of `y`, which is
+/// bitwise the tape's ConcatCols result.
 void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
                   const float* q, const float* k, const float* v, float* y,
                   float* scratch) {
@@ -331,51 +353,11 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
   const float* mask =
       (s.use_mask && in.mask != nullptr) ? in.mask->data().data() : nullptr;
 
-  if (tensor::UsePackedGemm(n, hd, n) && tensor::UsePackedGemm(n, n, hd)) {
-    // Strided fast branch: per-head packs read q/k/v columns in place and the
-    // softmax defers normalization to the (n, hd) output.
-    float* logits = scratch;
-    float* weights = logits + n * n;  // kept apart so the retry rereads logits
-    float* maxes = weights + n * n;
-    float* invs = maxes + n;
-    float* packbuf = invs + n;
-    for (std::int64_t h = 0; h < at.Heads(); ++h) {
-      const std::int64_t off = h * hd;
-      tensor::PackBTransposedIntoBuf(k + off, hd, n, packbuf, d);
-      tensor::MatMulPackedViewStridedInto(q + off, n, d, {packbuf, hd, n}, logits, n);
-      // infer::RowSoftmaxDeferred mirror: unmasked row max as the exp shift
-      // (two separate streaming phases), masked-max retry on underflow.
-      for (std::int64_t i = 0; i < n; ++i) {
-        maxes[i] = tensor::simd::MaskedRowMax(logits + i * n, nullptr, n);
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* lrow = logits + i * n;
-        const float* mrow = mask != nullptr ? mask + i * n : nullptr;
-        float* orow = weights + i * n;
-        const float total =
-            tensor::simd::ExpShiftedNonPositiveSumN(lrow, mrow, maxes[i], orow, n);
-        invs[i] = total > 0.0f
-                      ? 1.0f / total
-                      : tensor::fused::MaskedSoftmaxRetryRow(lrow, mrow, orow, n);
-      }
-      tensor::PackBIntoBuf(v + off, n, hd, packbuf, d);
-      tensor::MatMulPackedViewStridedInto(weights, n, n, {packbuf, n, hd}, y + off, d);
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float inv = invs[i];
-        float* row = y + i * d + off;
-        for (std::int64_t j = 0; j < hd; ++j) row[j] *= inv;
-      }
-    }
-    return;
-  }
-
-  // Slice-based branch: materialized per-head slices, normalized masked
-  // softmax, infer::MatMul tier dispatch per GEMM.
   float* qh = scratch;
   float* kh = qh + n * hd;
   float* vh = kh + n * hd;
   float* logits = vh + n * hd;
-  float* tmp = logits + n * n;  // materialized transposes for naive/narrow tiers
+  float* tmp = logits + n * n;  // softmax row; transposes for naive/narrow tiers
   float* packbuf = tmp + n * hd;
   for (std::int64_t h = 0; h < at.Heads(); ++h) {
     const std::int64_t off = h * hd;
@@ -413,8 +395,9 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
         }
       }
     }
-    // attn = masked row softmax, normalized in place (infer::RowSoftmax's
-    // exact pass structure; lane-wise, so in-place is safe).
+    for (std::int64_t i = 0; i < n * n; ++i) logits[i] *= s.scalar;
+    // attn = masked row softmax (the exp row goes through `tmp`, then lands
+    // normalized back in the logits row).
     for (std::int64_t i = 0; i < n; ++i) {
       float* lrow = logits + i * n;
       const float* mrow = mask != nullptr ? mask + i * n : nullptr;
@@ -423,9 +406,9 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
         std::fill(lrow, lrow + n, 0.0f);
         continue;
       }
-      tensor::simd::ExpShiftedNonPositiveN(lrow, mrow, maxv, lrow, n);
-      const float inv = 1.0f / tensor::simd::Sum(lrow, n);
-      for (std::int64_t j = 0; j < n; ++j) lrow[j] *= inv;
+      tensor::simd::ExpShiftedNonPositiveN(lrow, mrow, maxv, tmp, n);
+      const float inv = 1.0f / tensor::simd::Sum(tmp, n);
+      for (std::int64_t j = 0; j < n; ++j) lrow[j] = tmp[j] * inv;
     }
     // y[:, off:off+hd] = attn * vh (m=n, k=n, n=hd).
     if (tensor::UsePackedGemm(n, n, hd)) {
@@ -462,8 +445,8 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
 
 void RunSegmentSoftmax(const InferProgram& p, const ExecInputs& in, const float* x,
                        std::int64_t rows, std::int64_t cols, float* y, float* scratch) {
-  // Mirror of infer::SegmentSoftmax: per-segment max, exp + denominator,
-  // normalize (same std::exp, same pass structure).
+  // Per-segment max, exp + denominator, normalize (the tape's pass
+  // structure, same std::exp).
   const std::vector<std::int32_t>& seg = in.g->edge_dst;
   const std::int64_t n = p.num_nodes;
   float* maxv = scratch;
@@ -490,12 +473,21 @@ void RunSegmentSoftmax(const InferProgram& p, const ExecInputs& in, const float*
   }
 }
 
-}  // namespace
+/// Operand/result pointers for one step, resolved from the plan buffer.
+struct StepOperands {
+  const float* a = nullptr;
+  const float* b = nullptr;
+  const float* c = nullptr;
+  float* out = nullptr;
+};
 
+/// Execute step `si` of `p` on explicit operands. `scratch` must hold
+/// p.scratch_floats floats.
 void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot& snap,
-             const ExecInputs& in, const StepOperands& ops, std::int64_t rows,
-             float* scratch, const MaskRuns* runs) {
+             const ExecInputs& in, const StepOperands& ops, float* scratch,
+             const MaskRuns& runs) {
   const Step& s = p.steps[si];
+  const std::int64_t rows = p.values[static_cast<std::size_t>(s.out)].rows;
   const std::int64_t cols = p.values[static_cast<std::size_t>(s.out)].cols;
   const graph::EncodedGraph& g = *in.g;
   switch (s.kind) {
@@ -527,7 +519,7 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       break;
     }
     case OpKind::kFusedAttention:
-      RunFusedAttention(p, s, snap, in, ops.a, ops.out, scratch, *runs);
+      RunFusedAttention(p, s, snap, ops.a, ops.out, scratch, runs);
       break;
     case OpKind::kScale: {
       float* a = ops.out;
@@ -618,7 +610,7 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       const float* vec = s.gain->value().data().data();
       float* y = ops.out;
       if (k >= 16) {
-        // infer::MatMul's narrow-output tier (n == 1 < 16, k >= 16).
+        // tensor::MatMul's narrow-output tier (n == 1 < 16, k >= 16).
         for (std::int64_t i = 0; i < rows; ++i) {
           y[i] = tensor::simd::Dot(x + i * k, vec, k);
         }
@@ -694,14 +686,14 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
   }
 }
 
-}  // namespace detail
+}  // namespace
 
 std::int64_t ThreadPlanBufferFloats() noexcept {
   return static_cast<std::int64_t>(ThreadExecState().buf.size());
 }
 
-bool Execute(const InferProgram& p, const ExecInputs& in, float* out) {
-  if (out == nullptr || !detail::ValidateInputs(p, in)) return false;
+void Execute(const InferProgram& p, const ExecInputs& in, float* out) {
+  CheckInputs(p, in);
   const graph::EncodedGraph& g = *in.g;
 
   ExecState& state = ThreadExecState();
@@ -716,7 +708,7 @@ bool Execute(const InferProgram& p, const ExecInputs& in, float* out) {
   // attention step (the mask is identical across layers and heads). A lane
   // outside [lo, hi) is -inf masked; lanes inside may still be masked and
   // are handled by the windowed softmax.
-  if (detail::NeedsMaskRuns(p)) detail::BuildMaskRuns(p, in, state.runs);
+  if (NeedsMaskRuns(p)) BuildMaskRuns(p, in, state.runs);
 
   const auto snap = p.CurrentSnapshot();
 
@@ -733,15 +725,12 @@ bool Execute(const InferProgram& p, const ExecInputs& in, float* out) {
 
   for (std::size_t si = 0; si < p.steps.size(); ++si) {
     const Step& s = p.steps[si];
-    const detail::StepOperands ops{
-        ptr_of(s.a), ptr_of(s.b), ptr_of(s.c),
-        base + p.offsets[static_cast<std::size_t>(s.out)]};
-    detail::RunStep(p, si, *snap, in, ops,
-                    p.values[static_cast<std::size_t>(s.out)].rows, scratch, &state.runs);
+    const StepOperands ops{ptr_of(s.a), ptr_of(s.b), ptr_of(s.c),
+                           base + p.offsets[static_cast<std::size_t>(s.out)]};
+    RunStep(p, si, *snap, in, ops, scratch, state.runs);
   }
 
   *out = base[p.offsets[static_cast<std::size_t>(p.output)]];
-  return true;
 }
 
 }  // namespace predtop::compile

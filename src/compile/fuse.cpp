@@ -1,6 +1,7 @@
 #include "compile/fuse.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "tensor/ops.h"
@@ -30,20 +31,27 @@ void Erase(std::vector<Step>& steps, const std::vector<std::size_t>& sorted_indi
   }
 }
 
-/// Pattern 1: the five-step attention chain ending in kAttnHeads.
+/// True when multiplying by s is exact (s a power of two): folding such a
+/// scale into q before q k^T yields the bits of scaling the logits after it.
+[[nodiscard]] bool ExactScale(float s) {
+  int exponent = 0;
+  return std::frexp(s, &exponent) == 0.5f;
+}
+
+/// Pattern 1: the four-step attention chain ending in kAttnHeads.
 void FuseAttention(std::vector<Step>& steps, std::int64_t num_nodes) {
-  for (std::size_t i = 4; i < steps.size(); ++i) {
+  for (std::size_t i = 3; i < steps.size(); ++i) {
     Step& s = steps[i];
     if (s.kind != OpKind::kAttnHeads || s.attn == nullptr) continue;
     // The combined pack is bit-identical to three separate packs only when
     // each projection's columns land on whole panels.
     if (s.attn->Dim() % tensor::kGemmPanel != 0) continue;
+    // The fused kernel folds the logit scale into q.
+    if (!ExactScale(s.scalar)) continue;
     // The fused kernel runs every GEMM packed; fuse only the shape classes
-    // where the op-by-op path would pick the packed tier for the q/k/v
-    // projections AND both per-head multiplies (the same gates
-    // MultiheadMaskedAttention::InferForward dispatches its strided fast
-    // path on). Below these floors the unfused kAttnHeads executor mirrors
-    // the slice-based kernels bit for bit instead.
+    // where the unfused steps would pick the packed tier for the q/k/v
+    // projections AND both per-head multiplies. Below these floors the
+    // unfused steps run with their own tier dispatch.
     const std::int64_t n = num_nodes;
     const std::int64_t d = s.attn->Dim();
     const std::int64_t hd = s.attn->HeadDim();
@@ -51,19 +59,17 @@ void FuseAttention(std::vector<Step>& steps, std::int64_t num_nodes) {
         !tensor::UsePackedGemm(n, n, hd)) {
       continue;
     }
-    const Step& lq = steps[i - 4];
-    const Step& lk = steps[i - 3];
-    const Step& lv = steps[i - 2];
-    const Step& sc = steps[i - 1];
+    const Step& lq = steps[i - 3];
+    const Step& lk = steps[i - 2];
+    const Step& lv = steps[i - 1];
     if (!IsLinearOf(lq, &s.attn->Wq(), s.a) || !IsLinearOf(lk, &s.attn->Wk(), s.b) ||
         !IsLinearOf(lv, &s.attn->Wv(), s.c)) {
       continue;
     }
-    if (sc.kind != OpKind::kScale || sc.out != s.a) continue;
     if (lq.a != lk.a || lq.a != lv.a) continue;  // one shared input x
-    // q is read only by its scale and the attention; k/v only by the
-    // attention — otherwise eliding them would change some other step.
-    if (ReadersOf(steps, s.a) != std::vector<std::size_t>{i - 1, i}) continue;
+    // q/k/v are read only by the attention — otherwise eliding them would
+    // change some other step.
+    if (ReadersOf(steps, s.a) != std::vector<std::size_t>{i}) continue;
     if (ReadersOf(steps, s.b) != std::vector<std::size_t>{i}) continue;
     if (ReadersOf(steps, s.c) != std::vector<std::size_t>{i}) continue;
 
@@ -71,9 +77,8 @@ void FuseAttention(std::vector<Step>& steps, std::int64_t num_nodes) {
     s.a = lq.a;
     s.b = kNoValue;
     s.c = kNoValue;
-    s.scalar = sc.scalar;  // 1/sqrt(dk), applied to the q columns post-bias
-    Erase(steps, {i - 4, i - 3, i - 2, i - 1});
-    i -= 4;
+    Erase(steps, {i - 3, i - 2, i - 1});
+    i -= 3;
   }
 }
 

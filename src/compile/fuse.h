@@ -1,13 +1,14 @@
 #pragma once
 // Fusion pass over a recorded (unfused) InferProgram. Patterns, in order:
 //
-//  1. attention chain   [Linear(Wq), Linear(Wk), Linear(Wv), Scale(q),
-//                        AttnHeads]            -> kFusedAttention
-//     (combined q|k|v pack + folded 1/sqrt(dk); requires dim to be a
-//     kGemmPanel multiple so the combined pack is bit-identical to three
-//     separate packs, and requires every GEMM in the chain to take the
-//     packed tier — the fused kernel is all-packed, so fusing a shape the
-//     op-by-op path would run naive/narrow would change the float bits)
+//  1. attention chain   [Linear(Wq), Linear(Wk), Linear(Wv), AttnHeads]
+//                                              -> kFusedAttention
+//     (combined q|k|v pack + the logit scale folded into q; requires dim to
+//     be a kGemmPanel multiple so the combined pack is bit-identical to three
+//     separate packs, a power-of-two scale so the fold is exact, and every
+//     GEMM in the chain to take the packed tier — the fused kernel is
+//     all-packed, so fusing a shape whose unfused GEMMs run naive/narrow
+//     would change the float bits)
 //  2. residual norm     [Linear -> y, Add(y, r), LayerNorm(y)]
 //                                              -> kLinearResidualNorm
 //  3. activation        [Linear -> y, Relu(y)] -> kLinearAct
@@ -15,9 +16,8 @@
 // Each match is validated with value use counts (the fused intermediate must
 // have no other reader), so a pattern that merely *looks* adjacent is never
 // fused incorrectly. Matching is intentionally conservative: a miss leaves
-// the unfused steps in place, which stays correct — the executor runs an
-// unfused kAttnHeads through the same slice-based kernels as the op-by-op
-// fast path.
+// the unfused steps in place, which stays correct — the executor runs them
+// as recorded.
 
 #include "compile/program.h"
 

@@ -7,15 +7,14 @@
 
 #include "compile/fuse.h"
 #include "compile/planner.h"
-#include "nn/infer.h"
 #include "tensor/ops.h"
 
 namespace predtop::compile {
 
 namespace {
 
-/// The same tier predicates nn::Linear::InferForward evaluates per call,
-/// resolved once at build time from the row count the step will always see.
+/// The same tier predicates tensor::MatMul dispatches on, resolved once at
+/// build time from the row count the step will always see.
 [[nodiscard]] GemmTier ResolveLinearTier(std::int64_t m, std::int64_t k, std::int64_t n) {
   if (tensor::UsePackedGemm(m, k, n)) return GemmTier::kPacked;
   if (n < 16 && k >= 16) return GemmTier::kNarrow;
@@ -38,15 +37,13 @@ namespace {
              + pack;
     }
     case OpKind::kAttnHeads: {
-      // Covers both executor branches: slice-based (per-head q/k/v slices, a
-      // transpose temp for the non-packed tiers) and strided-deferred (a
-      // second (n, n) region so the softmax retry can reread pristine
-      // logits), plus the pack buffer for the packed tiers.
+      // Per-head q/k/v slices, the (n, n) logits, a transpose temp for the
+      // non-packed tiers, and the pack buffer for the packed tiers.
       const std::int64_t n = p.num_nodes;
       const std::int64_t hd = s.attn->HeadDim();
       const std::int64_t pack = std::max(tensor::PackedBFloats(hd, n),
                                          tensor::PackedBFloats(n, hd));
-      return 4 * n * hd + 2 * n * n + 2 * n + pack;
+      return 4 * n * hd + n * n + pack;
     }
     case OpKind::kSegmentSoftmax:
       // Per-segment max and denominator accumulators.
@@ -132,6 +129,7 @@ ValueId ProgramBuilder::AttnHeads(const nn::MultiheadMaskedAttention& attn, Valu
                        .b = k,
                        .c = v,
                        .attn = &attn,
+                       .scalar = 1.0f / std::sqrt(static_cast<float>(attn.HeadDim())),
                        .use_mask = use_mask});
   return out;
 }
@@ -273,16 +271,14 @@ std::shared_ptr<InferProgram> ProgramBuilder::Finish(ValueId output) {
 
 std::shared_ptr<const InferProgram::Snapshot> InferProgram::CurrentSnapshot() const {
   const std::uint64_t epoch = nn::ParameterEpoch();
-  const tensor::GemmPrec prec = tensor::WeightPrec();
   {
     std::lock_guard<std::mutex> lock(snap_mutex_);
-    if (snap_ != nullptr && snap_->epoch == epoch && snap_->prec == prec) return snap_;
+    if (snap_ != nullptr && snap_->epoch == epoch) return snap_;
   }
   // Rebuild outside the lock: snapshots are immutable, so a racing rebuild
   // just wastes one pack pass and the last writer wins.
   auto fresh = std::make_shared<Snapshot>();
   fresh->epoch = epoch;
-  fresh->prec = prec;
   fresh->lin.resize(steps.size());
   std::int32_t attn_slots = 0;
   for (const Step& s : steps) {
@@ -295,9 +291,7 @@ std::shared_ptr<const InferProgram::Snapshot> InferProgram::CurrentSnapshot() co
     if (s.kind != OpKind::kFusedAttention) continue;
     // Combined [Wq | Wk | Wv] pack: column-concatenating the three (d, d)
     // weights before packing yields the identical panel stream as three
-    // separate packs (d is a panel multiple, enforced by the fuser), and the
-    // int8 per-column scales are column-local, so the reduced-precision
-    // combined packs match the per-Linear ones bit for bit.
+    // separate packs (d is a panel multiple, enforced by the fuser).
     AttnSnap& as = fresh->attn[static_cast<std::size_t>(s.aux)];
     const std::int64_t d = s.attn->Dim();
     const nn::Linear* proj[3] = {&s.attn->Wq(), &s.attn->Wk(), &s.attn->Wv()};
@@ -310,11 +304,6 @@ std::shared_ptr<const InferProgram::Snapshot> InferProgram::CurrentSnapshot() co
       }
     }
     tensor::PackBInto(combined.data(), d, 3 * d, as.qkv);
-    if (prec == tensor::GemmPrec::kBf16) {
-      tensor::PackB16Into(combined.data(), d, 3 * d, as.qkv16);
-    } else if (prec == tensor::GemmPrec::kInt8) {
-      tensor::PackB8Into(combined.data(), d, 3 * d, as.qkv8);
-    }
     as.bias.resize(static_cast<std::size_t>(3 * d));
     for (int w = 0; w < 3; ++w) {
       const autograd::Variable* bv = proj[w]->Bias();

@@ -1,15 +1,15 @@
 #pragma once
 // Compiled inference programs (the tentpole of predtop::compile).
 //
-// A predictor's tape-free forward is a fixed op sequence once the graph's
+// A predictor's inference forward is a fixed op sequence once the graph's
 // shape class (node count, edge count) is known. Instead of re-deciding
-// kernel tiers, taking per-layer weight-cache locks, and bump-allocating
-// dozens of arena intermediates on every call, we *record* that sequence once
-// into an InferProgram:
+// kernel tiers, taking per-layer weight-cache locks, and allocating dozens of
+// intermediates on every call, we *record* that sequence once into an
+// InferProgram, the only inference engine (the autograd tape serves training
+// and is the parity reference):
 //
-//  - ProgramBuilder records the unfused module-level ops exactly as the
-//    InferForward paths execute them (one Step per Linear / activation /
-//    norm / graph op);
+//  - ProgramBuilder records the unfused module-level ops of the predictor's
+//    Forward (one Step per Linear / activation / norm / graph op);
 //  - the fusion pass (fuse.h) pattern-matches Linear+activation,
 //    Linear+residual+LayerNorm, and the attention projection chain into
 //    single fused steps backed by the kernels in tensor/fused.h;
@@ -21,9 +21,8 @@
 //    single epoch check per forward instead of one mutex per Linear.
 //
 // Programs are cached per (predictor instance, shape class) in a global LRU
-// (cache.h) and invalidated by nn::ParameterEpoch / the PREDTOP_GEMM_PREC
-// tier exactly like the per-Linear packs. PREDTOP_COMPILE=0 reverts every
-// caller to the op-by-op fast path.
+// (cache.h); their weight snapshots are invalidated by nn::ParameterEpoch
+// exactly like the per-Linear packs.
 
 #include <cstdint>
 #include <memory>
@@ -34,7 +33,6 @@
 #include "nn/attention.h"
 #include "nn/linear.h"
 #include "tensor/fused.h"
-#include "tensor/quant.h"
 
 namespace predtop::compile {
 
@@ -72,7 +70,7 @@ enum class OpKind : std::uint8_t {
   kRelu,          // a = relu(a)
   kLeakyRelu,     // a = leaky_relu(a, scalar)
   kLayerNorm,     // out = LayerNorm(a, gain, bias)
-  kAttnHeads,     // out = per-head softmax(q k^T + mask) v; a=q, b=k, c=v
+  kAttnHeads,     // out = per-head softmax(scalar * q k^T + mask) v; a=q, b=k, c=v
   // Graph / pooling ops.
   kSpmm,          // out = g.adj_norm * a
   kPool,          // out = column sums of a, (1, cols)
@@ -87,7 +85,7 @@ enum class OpKind : std::uint8_t {
 };
 
 /// GEMM tier resolved at build time from the (m, k, n) the step will always
-/// see — the same predicates nn::Linear::InferForward evaluates per call.
+/// see — the same predicates tensor::MatMul dispatches on.
 enum class GemmTier : std::uint8_t { kPacked, kNarrow, kNaive };
 
 struct Step {
@@ -141,20 +139,17 @@ class InferProgram {
 
   /// Per-epoch weight snapshot shared by every thread executing the program.
   struct AttnSnap {
-    tensor::PackedB qkv;        // combined [Wq | Wk | Wv] pack, fp32
-    tensor::PackedB16 qkv16;    // bf16 combined pack (prec == kBf16)
-    tensor::PackedB8 qkv8;      // int8 combined pack (prec == kInt8)
-    std::vector<float> bias;    // bq | bk | bv, 3 * dim
+    tensor::PackedB qkv;      // combined [Wq | Wk | Wv] pack
+    std::vector<float> bias;  // bq | bk | bv, 3 * dim
   };
   struct Snapshot {
     std::uint64_t epoch = 0;
-    tensor::GemmPrec prec = tensor::GemmPrec::kFp32;
     std::vector<std::shared_ptr<const nn::Linear::InferWeights>> lin;  // per step
     std::vector<AttnSnap> attn;  // indexed by Step::aux
   };
 
-  /// Current snapshot, rebuilt when ParameterEpoch or the precision tier
-  /// moved since the last call (one lock + one atomic check per forward).
+  /// Current snapshot, rebuilt when ParameterEpoch moved since the last call
+  /// (one lock + one atomic check per forward).
   [[nodiscard]] std::shared_ptr<const Snapshot> CurrentSnapshot() const;
 
  private:
@@ -163,8 +158,8 @@ class InferProgram {
 };
 
 /// Records the unfused op sequence for one predictor forward. The builder
-/// validates shapes as it goes (mirroring the checks the live kernels throw
-/// on), so a recorded program never faults at execution time.
+/// validates shapes as it goes and throws std::invalid_argument on a
+/// mismatch, so a recorded program never faults at execution time.
 class ProgramBuilder {
  public:
   ProgramBuilder(std::int64_t num_nodes, std::int64_t num_edges, std::int64_t feature_dim);
@@ -177,6 +172,8 @@ class ProgramBuilder {
   void LeakyRelu(ValueId a, float negative_slope);
   [[nodiscard]] ValueId LayerNorm(ValueId x, const autograd::Variable& gain,
                                   const autograd::Variable& bias);
+  /// Per-head masked attention over projected q/k/v, with the logits scaled
+  /// by 1/sqrt(head_dim) after the q k^T multiply (the tape's order).
   [[nodiscard]] ValueId AttnHeads(const nn::MultiheadMaskedAttention& attn, ValueId q,
                                   ValueId k, ValueId v, bool use_mask);
   [[nodiscard]] ValueId Spmm(ValueId x);
@@ -191,9 +188,7 @@ class ProgramBuilder {
   void AddRowVector(ValueId x, const autograd::Variable& bias);
 
   /// Run the fusion pass, resolve GEMM tiers, plan the buffer, and seal the
-  /// program. Returns nullptr when the recorded ops cannot be compiled (an
-  /// attention block the fuser refused, e.g. dim not a panel multiple) — the
-  /// caller falls back to the op-by-op path.
+  /// program. Ops the fuser declines stay unfused and execute as recorded.
   [[nodiscard]] std::shared_ptr<InferProgram> Finish(ValueId output);
 
  private:
@@ -204,11 +199,14 @@ class ProgramBuilder {
   std::shared_ptr<InferProgram> p_;
 };
 
-/// Run the program. Returns false (without touching `out`) when the inputs'
-/// shape class does not match the program; the caller falls back. A warm call
-/// performs no allocation: activations and scratch live in a thread-local
-/// grow-only buffer at the planner's fixed offsets.
-[[nodiscard]] bool Execute(const InferProgram& p, const ExecInputs& in, float* out);
+/// Run the program, writing the scalar output to *out. Throws
+/// std::invalid_argument (without touching `out`) when the inputs do not
+/// match the program: another shape class or feature width, a missing mask,
+/// depth encoding or normalized adjacency the program reads, or edge lists
+/// of unequal length. A warm call performs no allocation: activations and
+/// scratch live in a thread-local grow-only buffer at the planner's fixed
+/// offsets.
+void Execute(const InferProgram& p, const ExecInputs& in, float* out);
 
 /// Size in floats of the calling thread's plan buffer (test hook: warm
 /// forwards must never grow it).

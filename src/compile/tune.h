@@ -1,6 +1,6 @@
 #pragma once
 // Runtime GEMM/batch autotuner. The compiled executors' crossover knobs
-// (packed tile shape, parallel-split threshold, batch-vs-interleave
+// (packed tile shape, parallel-split threshold, sequential-vs-interleave
 // crossover) are machine-dependent; this module resolves them ONCE per
 // process into a TuneTable, either from environment overrides, from a
 // first-use timing sweep on the actual machine (PREDTOP_AUTOTUNE=1), or
@@ -25,7 +25,7 @@ struct TuneTable {
   /// (mirrors PREDTOP_GEMM_PAR_MIN_ELEMS).
   std::int64_t par_min_elems = 4l << 20;
   /// Minimum same-shape batch size at which ExecuteBatch prefers
-  /// interleaving independent forwards over one stacked-GEMM pass.
+  /// interleaving independent forwards over a sequential loop.
   std::int64_t interleave_min_batch = 2;
   /// Minimum per-query linear-step FLOPs for interleaving: below this a
   /// forward is too small to amortize one pool task dispatch.

@@ -5,7 +5,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include <array>
 #include <mutex>
 #include <unordered_map>
 
@@ -24,16 +23,11 @@ StagePredictor::~StagePredictor() {
   compile::ProgramCache::Global().EvictOwner(instance_id_);
 }
 
-float StagePredictor::InferScalar(const graph::EncodedGraph& g, nn::InferenceContext& ctx) {
-  (void)ctx;
-  return Forward(g).value().data()[0];
-}
-
 std::shared_ptr<compile::InferProgram> StagePredictor::CachedProgram(
     const graph::EncodedGraph& g) {
   auto& cache = compile::ProgramCache::Global();
   const auto ne = static_cast<std::int64_t>(g.edge_src.size());
-  if (auto hit = cache.Lookup(instance_id_, g.num_nodes, ne)) return *hit;
+  if (auto hit = cache.Lookup(instance_id_, g.num_nodes, ne)) return hit;
   std::shared_ptr<compile::InferProgram> program = BuildProgram(g);
   cache.Insert(instance_id_, g.num_nodes, ne, program);
   return program;
@@ -47,28 +41,35 @@ void StagePredictor::FillExecInputs(const graph::EncodedGraph& g,
   inputs.g = &g;
 }
 
-bool StagePredictor::TryInferCompiled(const graph::EncodedGraph& g, float* out) {
+void StagePredictor::RequireFeatures(const graph::EncodedGraph& g, std::int64_t feature_dim) {
+  if (g.num_nodes <= 0) throw std::invalid_argument("StagePredictor: graph has no nodes");
+  if (g.features.rank() != 2 || g.features.dim(0) != g.num_nodes ||
+      g.features.dim(1) != feature_dim) {
+    throw std::invalid_argument("StagePredictor: feature width mismatch");
+  }
+}
+
+float StagePredictor::InferScalar(const graph::EncodedGraph& g) {
   const auto program = CachedProgram(g);
-  if (program == nullptr) return false;
   compile::ExecInputs inputs;
   std::shared_ptr<const tensor::Tensor> keepalive;
   FillExecInputs(g, inputs, keepalive);
-  return compile::Execute(*program, inputs, out);
+  float y = 0.0f;
+  compile::Execute(*program, inputs, &y);
+  return y;
 }
 
-bool StagePredictor::TryInferCompiledBatch(const graph::EncodedGraph* const* graphs,
-                                           std::size_t count, float* out,
-                                           const compile::BatchOptions& opts) {
-  if (count == 0) return true;
-  if (graphs == nullptr || out == nullptr) return false;
+void StagePredictor::InferScalarBatch(const graph::EncodedGraph* const* graphs,
+                                      std::size_t count, float* out,
+                                      const compile::BatchOptions& opts) {
+  if (count == 0) return;
   const auto program = CachedProgram(*graphs[0]);
-  if (program == nullptr) return false;
   std::vector<compile::ExecInputs> inputs(count);
   std::vector<std::shared_ptr<const tensor::Tensor>> keepalive(count);
   for (std::size_t i = 0; i < count; ++i) {
     FillExecInputs(*graphs[i], inputs[i], keepalive[i]);
   }
-  return compile::ExecuteBatch(*program, inputs.data(), count, out, opts);
+  compile::ExecuteBatch(*program, inputs.data(), count, out, opts);
 }
 
 const char* PredictorKindName(PredictorKind kind) noexcept {
@@ -125,42 +126,15 @@ class DagTransformerPredictor final : public StagePredictor {
     return head_->Forward(autograd::ConcatCols(pooled));
   }
 
-  float InferScalar(const graph::EncodedGraph& g, nn::InferenceContext& ctx) override {
-    if (compile::CompileEnabled()) {
-      float y = 0.0f;
-      if (TryInferCompiled(g, &y)) return y;
-    }
-    ctx.BeginForward();
-    const tensor::ConstMat features = nn::infer::View(g.features);
-    tensor::MatRef h = input_proj_.InferForward(features, ctx);
-    if (options_.use_dagpe) {
-      const auto pe = CachedDepthEncoding(g);
-      nn::infer::AddInPlace(h, nn::infer::View(*pe));
-    }
-    // DAGRA masks are precomputed per graph (g.dagra_mask); the ablation's
-    // all-zero mask is numerically a no-op, so pass no mask at all.
-    const tensor::Tensor* mask = options_.use_dagra ? &g.dagra_mask : nullptr;
-    for (const auto& layer : layers_) h = layer->InferForward(h, mask, ctx);
-    const tensor::MatRef pooled_h = nn::infer::GlobalAddPool(ctx, h);
-    tensor::MatRef pooled_f = nn::infer::GlobalAddPool(ctx, features);
-    nn::infer::ScaleInPlace(pooled_f, 1.0f / 256.0f);
-    const std::array<tensor::ConstMat, 2> pooled{pooled_h, pooled_f};
-    const tensor::MatRef cat = nn::infer::ConcatCols(ctx, pooled);
-    return head_->InferForward(cat, ctx).data[0];
-  }
-
   std::string Name() const override { return "DagTransformer"; }
 
-  /// Record InferScalar's op sequence: input projection (+DAGPE), the four
-  /// steps per transformer layer the fuser produces, pooled head. The fusion
-  /// pass turns each layer into kFusedAttention + two kLinearResidualNorm +
-  /// one kLinearAct step.
+  /// Record Forward's op sequence: input projection (+DAGPE), the
+  /// transformer layers, pooled head. The fusion pass turns each layer into
+  /// kFusedAttention + two kLinearResidualNorm + one kLinearAct step when the
+  /// shape takes the packed GEMM tier.
   std::shared_ptr<compile::InferProgram> BuildProgram(
       const graph::EncodedGraph& g) const override {
-    if (g.num_nodes <= 0 || g.features.rank() != 2 ||
-        g.features.dim(1) != options_.feature_dim) {
-      return nullptr;
-    }
+    RequireFeatures(g, options_.feature_dim);
     const std::int64_t n = g.num_nodes;
     compile::ProgramBuilder b(n, static_cast<std::int64_t>(g.edge_src.size()),
                               options_.feature_dim);
@@ -174,7 +148,6 @@ class DagTransformerPredictor final : public StagePredictor {
       const compile::ValueId q = b.Linear(at.Wq(), h);
       const compile::ValueId k = b.Linear(at.Wk(), h);
       const compile::ValueId v = b.Linear(at.Wv(), h);
-      b.Scale(q, 1.0f / std::sqrt(static_cast<float>(at.HeadDim())));
       const compile::ValueId merged = b.AttnHeads(at, q, k, v, options_.use_dagra);
       const compile::ValueId o = b.Linear(at.Wo(), merged);
       b.Add(o, h);
@@ -263,7 +236,8 @@ class DagTransformerPredictor final : public StagePredictor {
 /// GCN baseline (paper §VII-D): stacked GcnConv + ReLU, add pool, MLP head.
 class GcnPredictor final : public StagePredictor {
  public:
-  explicit GcnPredictor(const PredictorOptions& options) : rng_(options.seed) {
+  explicit GcnPredictor(const PredictorOptions& options)
+      : feature_dim_(options.feature_dim), rng_(options.seed) {
     std::int64_t in = options.feature_dim;
     for (std::int64_t i = 0; i < options.gcn_layers; ++i) {
       layers_.push_back(std::make_unique<nn::GcnConv>(in, options.gcn_dim, rng_));
@@ -280,36 +254,17 @@ class GcnPredictor final : public StagePredictor {
     return head_->Forward(autograd::GlobalAddPool(h));
   }
 
-  float InferScalar(const graph::EncodedGraph& g, nn::InferenceContext& ctx) override {
-    if (compile::CompileEnabled()) {
-      float y = 0.0f;
-      if (TryInferCompiled(g, &y)) return y;
-    }
-    ctx.BeginForward();
-    tensor::ConstMat h = nn::infer::View(g.features);
-    for (const auto& layer : layers_) {
-      tensor::MatRef t = layer->InferForward(h, *g.adj_norm, ctx);
-      nn::infer::ReluInPlace(t);
-      h = t;
-    }
-    const tensor::MatRef pooled = nn::infer::GlobalAddPool(ctx, h);
-    return head_->InferForward(pooled, ctx).data[0];
-  }
-
   std::string Name() const override { return "GCN"; }
 
   std::shared_ptr<compile::InferProgram> BuildProgram(
       const graph::EncodedGraph& g) const override {
-    if (layers_.empty()) return nullptr;
-    const std::int64_t feature_dim = layers_.front()->Projection().InFeatures();
-    if (g.num_nodes <= 0 || g.features.rank() != 2 || g.features.dim(1) != feature_dim ||
-        g.adj_norm == nullptr) {
-      return nullptr;
+    RequireFeatures(g, feature_dim_);
+    if (g.adj_norm == nullptr) {
+      throw std::invalid_argument("GcnPredictor: graph has no normalized adjacency");
     }
     compile::ProgramBuilder b(g.num_nodes, static_cast<std::int64_t>(g.edge_src.size()),
-                              feature_dim);
-    compile::ValueId h =
-        b.Input(compile::External::kFeatures, g.num_nodes, feature_dim);
+                              feature_dim_);
+    compile::ValueId h = b.Input(compile::External::kFeatures, g.num_nodes, feature_dim_);
     for (const auto& layer : layers_) {
       const compile::ValueId t = b.Linear(layer->Projection(), h);
       h = b.Spmm(t);
@@ -343,6 +298,7 @@ class GcnPredictor final : public StagePredictor {
   }
 
  private:
+  std::int64_t feature_dim_;
   util::Rng rng_;
   std::vector<std::unique_ptr<nn::GcnConv>> layers_;
   std::unique_ptr<nn::Mlp> head_;
@@ -351,7 +307,8 @@ class GcnPredictor final : public StagePredictor {
 /// GAT baseline (paper §VII-D): stacked GatConv + ReLU, add pool, MLP head.
 class GatPredictor final : public StagePredictor {
  public:
-  explicit GatPredictor(const PredictorOptions& options) : rng_(options.seed) {
+  explicit GatPredictor(const PredictorOptions& options)
+      : feature_dim_(options.feature_dim), rng_(options.seed) {
     std::int64_t in = options.feature_dim;
     for (std::int64_t i = 0; i < options.gat_layers; ++i) {
       layers_.push_back(std::make_unique<nn::GatConv>(in, options.gat_dim, rng_));
@@ -368,36 +325,17 @@ class GatPredictor final : public StagePredictor {
     return head_->Forward(autograd::GlobalAddPool(h));
   }
 
-  float InferScalar(const graph::EncodedGraph& g, nn::InferenceContext& ctx) override {
-    if (compile::CompileEnabled()) {
-      float y = 0.0f;
-      if (TryInferCompiled(g, &y)) return y;
-    }
-    ctx.BeginForward();
-    tensor::ConstMat h = nn::infer::View(g.features);
-    for (const auto& layer : layers_) {
-      tensor::MatRef t = layer->InferForward(h, g.edge_src, g.edge_dst, ctx);
-      nn::infer::ReluInPlace(t);
-      h = t;
-    }
-    const tensor::MatRef pooled = nn::infer::GlobalAddPool(ctx, h);
-    return head_->InferForward(pooled, ctx).data[0];
-  }
-
   std::string Name() const override { return "GAT"; }
 
   std::shared_ptr<compile::InferProgram> BuildProgram(
       const graph::EncodedGraph& g) const override {
-    if (layers_.empty()) return nullptr;
-    const std::int64_t feature_dim = layers_.front()->Projection().InFeatures();
-    if (g.num_nodes <= 0 || g.features.rank() != 2 || g.features.dim(1) != feature_dim ||
-        g.edge_src.size() != g.edge_dst.size()) {
-      return nullptr;
+    RequireFeatures(g, feature_dim_);
+    if (g.edge_src.size() != g.edge_dst.size()) {
+      throw std::invalid_argument("GatPredictor: edge_src and edge_dst differ in length");
     }
     compile::ProgramBuilder b(g.num_nodes, static_cast<std::int64_t>(g.edge_src.size()),
-                              feature_dim);
-    compile::ValueId h =
-        b.Input(compile::External::kFeatures, g.num_nodes, feature_dim);
+                              feature_dim_);
+    compile::ValueId h = b.Input(compile::External::kFeatures, g.num_nodes, feature_dim_);
     for (const auto& layer : layers_) {
       const compile::ValueId proj = b.Linear(layer->Projection(), h);
       const compile::ValueId src_scores = b.MatVec(proj, layer->AttnSrc());
@@ -440,6 +378,7 @@ class GatPredictor final : public StagePredictor {
   }
 
  private:
+  std::int64_t feature_dim_;
   util::Rng rng_;
   std::vector<std::unique_ptr<nn::GatConv>> layers_;
   std::unique_ptr<nn::Mlp> head_;

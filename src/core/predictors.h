@@ -13,7 +13,6 @@
 #include "compile/program.h"
 #include "graph/encode.h"
 #include "nn/dag_transformer.h"
-#include "nn/infer.h"
 #include "nn/gat.h"
 #include "nn/gcn.h"
 #include "nn/linear.h"
@@ -44,6 +43,13 @@ struct PredictorOptions {
 };
 
 /// A graph-in, scalar-out regressor over encoded stage DAGs.
+///
+/// Forward runs the autograd tape (training, and the parity reference);
+/// InferScalar / InferScalarBatch run the compiled InferProgram for the
+/// graph's shape class, the only inference engine. Both accept the same
+/// graphs: malformed input — a node count of zero, a feature width other
+/// than the predictor's, a missing normalized adjacency (GCN), or edge_src /
+/// edge_dst of unequal length (GAT) — throws std::invalid_argument.
 class StagePredictor : public nn::Module {
  public:
   /// Evicts this instance's compiled programs from the global cache, so a
@@ -54,61 +60,46 @@ class StagePredictor : public nn::Module {
   /// Prediction in normalized target space, shape (1, 1).
   [[nodiscard]] virtual autograd::Variable Forward(const graph::EncodedGraph& g) = 0;
 
-  /// Tape-free prediction (same normalized scalar as Forward) running on
-  /// ctx's arena with cached packed weights and fingerprint-keyed per-graph
-  /// encodings. Mirrors Forward's kernels exactly; safe to call from many
-  /// threads concurrently (one ctx per thread), but not concurrently with
-  /// parameter mutation. The base implementation falls back to the autograd
-  /// tape so predictors without a fast path stay correct. Concrete
-  /// predictors first try the compiled program for g's shape class (see
-  /// compile::InferProgram) unless PREDTOP_COMPILE disables it.
-  [[nodiscard]] virtual float InferScalar(const graph::EncodedGraph& g,
-                                          nn::InferenceContext& ctx);
+  /// Compiled prediction (the normalized scalar Forward computes, within
+  /// 1e-6 relative). Safe to call from many threads concurrently, but not
+  /// concurrently with parameter mutation.
+  [[nodiscard]] float InferScalar(const graph::EncodedGraph& g);
+
+  /// Compiled batch prediction: run `count` graphs of ONE shape class (same
+  /// (num_nodes, num_edges) — the caller groups) through this instance's
+  /// program for that shape, writing one normalized scalar per graph.
+  /// Results are bit-identical to `count` InferScalar calls.
+  void InferScalarBatch(const graph::EncodedGraph* const* graphs, std::size_t count,
+                        float* out, const compile::BatchOptions& opts = {});
 
   [[nodiscard]] virtual std::string Name() const = 0;
 
   /// Program-cache owner key of this instance.
   [[nodiscard]] std::uint64_t InstanceId() const noexcept { return instance_id_; }
 
-  /// Compiled batch execution: run `count` graphs of ONE shape class (same
-  /// (num_nodes, num_edges) — the caller groups) through this instance's
-  /// program for that shape, writing one normalized scalar per graph.
-  /// Resolves the program, weight snapshot, and plan once for the whole
-  /// batch; results are bit-identical to `count` TryInferCompiled calls.
-  /// False = not compiled / shape mismatch: the caller falls back to
-  /// sequential prediction.
-  [[nodiscard]] bool TryInferCompiledBatch(const graph::EncodedGraph* const* graphs,
-                                           std::size_t count, float* out,
-                                           const compile::BatchOptions& opts = {});
-
  protected:
-  /// Compiled program for g's shape class: LRU-cached globally, recorded via
-  /// BuildProgram on a miss (null results are cached too, so uncompilable
-  /// shapes pay the builder once). nullptr = fall back to the op-by-op path.
-  [[nodiscard]] std::shared_ptr<compile::InferProgram> CachedProgram(
-      const graph::EncodedGraph& g);
-
-  /// Record this predictor's forward as a compilable program; base: none.
+  /// Record this predictor's forward as a program for g's shape class.
+  /// Throws std::invalid_argument on malformed g (see the class comment).
   [[nodiscard]] virtual std::shared_ptr<compile::InferProgram> BuildProgram(
-      const graph::EncodedGraph& g) const {
-    (void)g;
-    return nullptr;
-  }
+      const graph::EncodedGraph& g) const = 0;
 
-  /// Execute the compiled program for g, writing the normalized prediction
-  /// to *out. False = not compiled / shape mismatch: fall back. Externals
-  /// come from FillExecInputs, so both this and the batch path see the same
-  /// predictor-specific inputs.
-  [[nodiscard]] bool TryInferCompiled(const graph::EncodedGraph& g, float* out);
-
-  /// Resolve g's execution inputs for the compiled path. Overrides supply
+  /// Resolve g's execution inputs for the compiled program. Overrides supply
   /// predictor-specific externals (DAGRA mask, depth encodings); `keepalive`
   /// pins any cached tensor the inputs point into for the call's duration.
   /// Base: just the graph.
   virtual void FillExecInputs(const graph::EncodedGraph& g, compile::ExecInputs& inputs,
                               std::shared_ptr<const tensor::Tensor>& keepalive);
 
+  /// Throws std::invalid_argument unless g has nodes and a (num_nodes,
+  /// feature_dim) feature matrix.
+  static void RequireFeatures(const graph::EncodedGraph& g, std::int64_t feature_dim);
+
  private:
+  /// Compiled program for g's shape class: LRU-cached globally, recorded via
+  /// BuildProgram on a miss.
+  [[nodiscard]] std::shared_ptr<compile::InferProgram> CachedProgram(
+      const graph::EncodedGraph& g);
+
   std::uint64_t instance_id_ = compile::NextOwnerId();
 };
 

@@ -16,7 +16,6 @@
 #include "fault/injector.h"
 #include "fault/status.h"
 #include "nn/serialize.h"
-#include "util/env.h"
 #include "util/stats.h"
 
 namespace predtop::core {
@@ -207,26 +206,23 @@ nn::TrainResult LatencyRegressor::Fit(const StageDataset& dataset,
 
 namespace {
 
-bool FastInferEnabled() noexcept {
-  static const bool enabled = util::EnvInt("PREDTOP_FAST_INFER", 1) != 0;
-  return enabled;
+/// Latencies are positive by definition; the linear head can extrapolate
+/// below zero early in training, so clamp to a 1 us floor. NaN passes
+/// through (std::max(1e-6, NaN) is 1e-6): a broken model must reach the
+/// callers' finite-only checks, not look like a 1 us stage.
+double ClampLatency(double seconds) noexcept {
+  return std::isnan(seconds) ? seconds : std::max(1e-6, seconds);
 }
 
 }  // namespace
 
-bool LatencyRegressor::FastInferActive() noexcept { return FastInferEnabled(); }
-
 double LatencyRegressor::PredictSeconds(const graph::EncodedGraph& g) {
-  if (!FastInferEnabled()) return PredictSecondsTape(g);
-  const float pred = model_->InferScalar(g, nn::ThreadLocalInferenceContext());
-  // Latencies are positive by definition; the linear head can extrapolate
-  // below zero early in training, so clamp to a 1 us floor.
-  return std::max(1e-6, Denormalize(pred));
+  return ClampLatency(Denormalize(model_->InferScalar(g)));
 }
 
 double LatencyRegressor::PredictSecondsTape(const graph::EncodedGraph& g) {
   const autograd::Variable pred = model_->Forward(g);
-  return std::max(1e-6, Denormalize(pred.value().data()[0]));
+  return ClampLatency(Denormalize(pred.value().data()[0]));
 }
 
 std::vector<double> LatencyRegressor::PredictBatch(std::span<const graph::EncodedGraph> graphs) {
@@ -238,14 +234,6 @@ std::vector<double> LatencyRegressor::PredictBatch(std::span<const graph::Encode
 
 std::vector<double> LatencyRegressor::PredictBatch(
     std::span<const graph::EncodedGraph* const> graphs) {
-  std::vector<double> out(graphs.size(), 0.0);
-  if (graphs.empty()) return out;
-  if (!FastInferEnabled() || !compile::CompileEnabled() ||
-      !compile::BatchCompileEnabled()) {
-    for (std::size_t i = 0; i < graphs.size(); ++i) out[i] = PredictSeconds(*graphs[i]);
-    return out;
-  }
-
   // Group by shape class — one compiled program serves one (nodes, edges)
   // pair — preserving arrival order within each group.
   std::map<std::pair<std::int64_t, std::int64_t>, std::vector<std::size_t>> groups;
@@ -255,19 +243,16 @@ std::vector<double> LatencyRegressor::PredictBatch(
         .push_back(i);
   }
 
+  std::vector<double> out(graphs.size(), 0.0);
   std::vector<const graph::EncodedGraph*> members;
   std::vector<float> preds;
   for (const auto& [shape, indices] : groups) {
     members.clear();
     for (const std::size_t i : indices) members.push_back(graphs[i]);
     preds.assign(indices.size(), 0.0f);
-    if (model_->TryInferCompiledBatch(members.data(), members.size(), preds.data())) {
-      for (std::size_t j = 0; j < indices.size(); ++j) {
-        out[indices[j]] = std::max(1e-6, Denormalize(preds[j]));
-      }
-    } else {
-      // Shape class not compilable: per-graph fast path (same clamp).
-      for (const std::size_t i : indices) out[i] = PredictSeconds(*graphs[i]);
+    model_->InferScalarBatch(members.data(), members.size(), preds.data());
+    for (std::size_t j = 0; j < indices.size(); ++j) {
+      out[indices[j]] = ClampLatency(Denormalize(preds[j]));
     }
   }
   return out;

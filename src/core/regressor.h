@@ -31,22 +31,20 @@ class LatencyRegressor {
                       std::span<const std::size_t> val_indices,
                       const nn::TrainConfig& train_config);
 
-  /// Predicted stage latency in seconds. Runs the tape-free fast path
-  /// (per-thread arena, cached packed weights) unless PREDTOP_FAST_INFER=0;
-  /// both paths share the same kernels, so results are bit-identical.
+  /// Predicted stage latency in seconds through the compiled inference
+  /// program (StagePredictor::InferScalar), clamped to a 1 us floor. A NaN
+  /// forward stays NaN. Throws std::invalid_argument on malformed graphs.
   [[nodiscard]] double PredictSeconds(const graph::EncodedGraph& g);
 
-  /// Reference prediction through the autograd tape (always available; used
-  /// by parity tests and benchmarks as the baseline).
+  /// Reference prediction through the autograd tape (used by parity tests,
+  /// plan checks and benchmarks as the baseline); same clamp. Within 1e-6
+  /// relative of PredictSeconds.
   [[nodiscard]] double PredictSecondsTape(const graph::EncodedGraph& g);
 
-  /// Fast-path predictions for a batch of graphs. Groups the batch by shape
-  /// class ((num_nodes, num_edges)) and runs each same-shape group through
-  /// the compiled batch executor — program, weight snapshot, and plan
-  /// resolved once per group (see compile::ExecuteBatch) — falling back to
-  /// per-graph PredictSeconds when a group is not compilable or the batch
-  /// path is disabled (PREDTOP_BATCH_COMPILE=0). Results are bit-identical
-  /// to calling PredictSeconds per graph either way.
+  /// Predictions for a batch of graphs. Groups the batch by shape class
+  /// ((num_nodes, num_edges)) and runs each same-shape group through the
+  /// compiled batch executor (see compile::ExecuteBatch). Results are
+  /// bit-identical to calling PredictSeconds per graph.
   [[nodiscard]] std::vector<double> PredictBatch(std::span<const graph::EncodedGraph> graphs);
   /// Pointer-span overload (predtop::serve batches deduplicated queries that
   /// are not contiguous in memory).
@@ -56,11 +54,6 @@ class LatencyRegressor {
   /// Mean relative error (%) vs the samples' true latencies (paper Eqn. 5).
   [[nodiscard]] double MrePercent(const StageDataset& dataset,
                                   std::span<const std::size_t> indices);
-
-  /// Whether the tape-free fast path is active (PREDTOP_FAST_INFER, default
-  /// on). Exposed so serving layers can gate batch routing on it: the
-  /// compiled batch executor only engages on the fast path.
-  [[nodiscard]] static bool FastInferActive() noexcept;
 
   [[nodiscard]] PredictorKind Kind() const noexcept { return kind_; }
   [[nodiscard]] StagePredictor& Model() noexcept { return *model_; }

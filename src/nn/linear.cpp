@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "tensor/simd.h"
-
 namespace predtop::nn {
 
 using autograd::Variable;
@@ -31,27 +29,16 @@ Variable Linear::Forward(const Variable& x) const {
 
 std::shared_ptr<const Linear::InferWeights> Linear::SnapshotInferWeights() const {
   const std::uint64_t epoch = ParameterEpoch();
-  const tensor::GemmPrec prec = tensor::WeightPrec();
   std::lock_guard<std::mutex> lock(infer_cache_->mutex);
   std::shared_ptr<const InferWeights>& cached = infer_cache_->weights;
-  if (cached == nullptr || cached->epoch != epoch || cached->prec != prec) {
+  if (cached == nullptr || cached->epoch != epoch) {
     auto fresh = std::make_shared<InferWeights>();
     fresh->epoch = epoch;
-    fresh->prec = prec;
     const tensor::Tensor& w = weight_.value();
     if (out_ >= tensor::kGemmPanel && in_ >= 8) {
       // Shapes the packed tier can ever dispatch to (UsePackedGemm's k/n
-      // preconditions; m is the per-call row count). The reduced-precision
-      // tier only replaces this pack — the narrow-dot and naive tiers stay
-      // fp32 (their shapes are too small for quantization to pay for the
-      // widening, and the regression head's scalar output is where rounding
-      // hurts the most).
+      // preconditions; m is the per-call row count).
       tensor::PackBInto(w.data().data(), in_, out_, fresh->pack);
-      if (prec == tensor::GemmPrec::kBf16) {
-        tensor::PackB16Into(w.data().data(), in_, out_, fresh->pack16);
-      } else if (prec == tensor::GemmPrec::kInt8) {
-        tensor::PackB8Into(w.data().data(), in_, out_, fresh->pack8);
-      }
     }
     if (out_ < 16 && in_ >= 16) {
       fresh->weight_t = tensor::Transpose2D(w);  // narrow-output dot tier
@@ -59,52 +46,6 @@ std::shared_ptr<const Linear::InferWeights> Linear::SnapshotInferWeights() const
     cached = std::move(fresh);
   }
   return cached;
-}
-
-tensor::MatRef Linear::InferForward(tensor::ConstMat x, InferenceContext& ctx) const {
-  if (x.cols != in_) throw std::invalid_argument("Linear::InferForward: feature width mismatch");
-  const std::int64_t m = x.rows;
-  tensor::MatRef y{};
-  // Tier selection must match tensor::MatMul(x, W) exactly for parity.
-  if (tensor::UsePackedGemm(m, in_, out_)) {
-    const auto cached = SnapshotInferWeights();
-    y = ctx.arena().Alloc(m, out_);
-    switch (cached->prec) {
-      case tensor::GemmPrec::kBf16:
-        tensor::MatMulPackedB16Into(x.data, m, cached->pack16, y.data);
-        break;
-      case tensor::GemmPrec::kInt8:
-        tensor::MatMulPackedB8Into(x.data, m, cached->pack8, y.data);
-        break;
-      default: tensor::MatMulPackedInto(x.data, m, cached->pack, y.data); break;
-    }
-  } else if (out_ < 16 && in_ >= 16) {
-    const auto cached = SnapshotInferWeights();
-    const float* wt = cached->weight_t.data().data();
-    y = ctx.arena().Alloc(m, out_);
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float* xrow = x.data + i * in_;
-      float* yrow = y.data + i * out_;
-      for (std::int64_t j = 0; j < out_; ++j) {
-        yrow[j] = tensor::simd::Dot(xrow, wt + j * in_, in_);
-      }
-    }
-  } else {
-    y = ctx.arena().AllocZeroed(m, out_);
-    const float* pw = weight_.value().data().data();
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float* xrow = x.data + i * in_;
-      float* yrow = y.data + i * out_;
-      for (std::int64_t kk = 0; kk < in_; ++kk) {
-        const float av = xrow[kk];
-        if (av == 0.0f) continue;  // same skip as the training kernel
-        const float* wrow = pw + kk * out_;
-        for (std::int64_t j = 0; j < out_; ++j) yrow[j] += av * wrow[j];
-      }
-    }
-  }
-  if (bias_.defined()) infer::AddRowVectorInPlace(y, bias_.value());
-  return y;
 }
 
 std::vector<Variable*> Linear::Parameters() {
@@ -132,15 +73,6 @@ Variable Mlp::Forward(const Variable& x) const {
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     h = layers_[i].Forward(h);
     if (i + 1 < layers_.size()) h = autograd::Relu(h);
-  }
-  return h;
-}
-
-tensor::MatRef Mlp::InferForward(tensor::ConstMat x, InferenceContext& ctx) const {
-  tensor::MatRef h = layers_.front().InferForward(x, ctx);
-  for (std::size_t i = 1; i < layers_.size(); ++i) {
-    infer::ReluInPlace(h);
-    h = layers_[i].InferForward(h, ctx);
   }
   return h;
 }

@@ -7,10 +7,8 @@
 #include <vector>
 
 #include "autograd/functions.h"
-#include "nn/infer.h"
 #include "nn/module.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "util/rng.h"
 
 namespace predtop::nn {
@@ -22,14 +20,6 @@ class Linear : public Module {
          bool with_bias = true);
 
   [[nodiscard]] autograd::Variable Forward(const autograd::Variable& x) const;
-
-  /// Tape-free forward into ctx's arena, mirroring Forward()'s kernel
-  /// dispatch exactly: the packed tier multiplies against a cached packed
-  /// copy of the weight (rebuilt lazily when ParameterEpoch moves), the
-  /// narrow-output tier against a cached W^T. Safe to call from many threads
-  /// concurrently; the cache mutex is per-layer and only contended on the
-  /// (rare) repack after a parameter mutation.
-  [[nodiscard]] tensor::MatRef InferForward(tensor::ConstMat x, InferenceContext& ctx) const;
 
   [[nodiscard]] std::vector<autograd::Variable*> Parameters() override;
   [[nodiscard]] std::vector<NamedParameter> NamedParameters() override;
@@ -46,23 +36,16 @@ class Linear : public Module {
   }
 
   /// Immutable per-epoch derived forms of the weight; readers hold a
-  /// shared_ptr so a concurrent repack can never free data under them. The
-  /// reduced-precision panels (tensor::WeightPrec) are built alongside the
-  /// fp32 pack, and `prec` records the tier they were built for so flipping
-  /// PREDTOP_GEMM_PREC invalidates the snapshot like a parameter mutation.
+  /// shared_ptr so a concurrent repack can never free data under them.
   struct InferWeights {
     std::uint64_t epoch = 0;
-    tensor::GemmPrec prec = tensor::GemmPrec::kFp32;
-    tensor::PackedB pack;       // packed weight for the blocked GEMM tier
-    tensor::PackedB16 pack16;   // bf16 panels (prec == kBf16 only)
-    tensor::PackedB8 pack8;     // int8 panels + column scales (kInt8 only)
-    tensor::Tensor weight_t;    // W^T for the narrow-output dot tier
+    tensor::PackedB pack;     // packed weight for the blocked GEMM tier
+    tensor::Tensor weight_t;  // W^T for the narrow-output dot tier
   };
 
-  /// Current weight snapshot (lazily rebuilt when ParameterEpoch or the
-  /// precision tier moves). The compiled inference programs hold these per
-  /// step so a warm forward revalidates one epoch load instead of taking
-  /// every layer's cache mutex.
+  /// Current weight snapshot (lazily rebuilt when ParameterEpoch moves). The
+  /// compiled inference programs hold these per step so a warm forward
+  /// revalidates one epoch load instead of taking every layer's cache mutex.
   [[nodiscard]] std::shared_ptr<const InferWeights> SnapshotInferWeights() const;
 
  private:
@@ -89,9 +72,6 @@ class Mlp : public Module {
   Mlp(std::vector<std::int64_t> dims, util::Rng& rng);
 
   [[nodiscard]] autograd::Variable Forward(const autograd::Variable& x) const;
-
-  /// Tape-free forward (Linear fast paths + in-place ReLU between layers).
-  [[nodiscard]] tensor::MatRef InferForward(tensor::ConstMat x, InferenceContext& ctx) const;
 
   [[nodiscard]] std::vector<autograd::Variable*> Parameters() override;
   [[nodiscard]] std::vector<NamedParameter> NamedParameters() override;

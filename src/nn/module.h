@@ -6,6 +6,7 @@
 // architecture mismatches by name instead of by position.
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -20,6 +21,17 @@ struct NamedParameter {
   std::string name;
   autograd::Variable* variable = nullptr;
 };
+
+/// Process-wide monotonic counter of in-place parameter mutations. Starts at
+/// 1 so "epoch 0" is always stale. Cached derived forms of the weights (the
+/// packed inference snapshots of nn::Linear and the compiled programs)
+/// record the epoch they were built at and rebuild lazily when it moves.
+[[nodiscard]] std::uint64_t ParameterEpoch() noexcept;
+/// Call after mutating any parameter Variable's value in place outside the
+/// optimizer / snapshot / state-dict paths (those bump it themselves).
+/// Mutating parameters concurrently with inference on the same module is
+/// not supported.
+void BumpParameterEpoch() noexcept;
 
 class Module {
  public:

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "nn/infer.h"
+#include "nn/module.h"
 
 namespace predtop::nn {
 

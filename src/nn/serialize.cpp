@@ -8,7 +8,7 @@
 #include <unordered_map>
 
 #include "fault/status.h"
-#include "nn/infer.h"
+#include "nn/module.h"
 
 namespace predtop::nn {
 

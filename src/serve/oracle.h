@@ -69,8 +69,8 @@ class ServingOracle {
   /// Answer a whole stage-latency table at once: queries are encoded on the
   /// calling thread (the encoder may memoize and need not be thread-safe),
   /// grouped per mesh model, and handed to PredictionService::PredictMany,
-  /// which dedupes repeated stages and fans the distinct misses across the
-  /// service pool. Unknown meshes / over-span slices yield +inf, exactly
+  /// which dedupes repeated stages and runs the distinct misses as one
+  /// compiled batch. Unknown meshes / over-span slices yield +inf, exactly
   /// like operator(). When degradation is configured, a bucket whose batch
   /// call fails — and any individual non-finite answer — is re-priced
   /// query-by-query down the ladder.

@@ -9,25 +9,23 @@
 //   2. in-flight coalescing — concurrent requests for the same (model,
 //      stage) join one computation instead of duplicating the forward pass
 //      (micro-batching of an identical-query burst into a single forward);
-//   3. a predictor forward pass — by default the tape-free fast path
-//      (LatencyRegressor::PredictSeconds → StagePredictor::InferScalar),
-//      which allocates activations from a per-thread tensor arena and
-//      multiplies against per-layer cached packed weights. Safe to run
-//      concurrently across requests: each worker thread owns its arena
-//      (nn::ThreadLocalInferenceContext), the packed-weight caches are
-//      immutable snapshots swapped under a per-layer mutex, and the DAG
-//      Transformer's fingerprint-keyed positional-encoding cache takes a
-//      short per-model lock only around map lookup/insert (the encoding
-//      itself is computed outside the lock).
+//   3. a predictor forward pass through the compiled inference program
+//      (LatencyRegressor::PredictSeconds → StagePredictor::InferScalar).
+//      Safe to run concurrently across requests: each thread executes on its
+//      own grow-only plan buffer, the weight snapshots are immutable and
+//      swapped under a per-program mutex, and the DAG Transformer's
+//      fingerprint-keyed positional-encoding cache takes a short per-model
+//      lock only around map lookup/insert.
 //
 // PredictMany additionally batches a caller-provided query set: duplicates
-// inside the batch collapse to one forward each, and the distinct misses fan
-// out across the service's ThreadPool — one inference arena per worker falls
-// out of the thread_local context, no per-request allocation churn. Failures
-// propagate to every waiter (never swallowed) via the pool's exception
-// plumbing. The inter-op plan search feeds its whole stage-latency table
-// through this path via serve::ServingOracle::AsBatchOracle — one
-// PredictMany call per mesh model instead of one Predict per DP table cell.
+// inside the batch collapse to one forward each, and the distinct misses run
+// through one LatencyRegressor::PredictBatch call, which groups them by
+// shape class and interleaves a group across cores when the compile layer's
+// TuneTable crossover says it pays (compile::ExecuteBatch). Failures
+// propagate to every waiter (never swallowed). The inter-op plan search
+// feeds its whole stage-latency table through this path via
+// serve::ServingOracle::AsBatchOracle — one PredictMany call per mesh model
+// instead of one Predict per DP table cell.
 
 #include <atomic>
 #include <cstdint>
@@ -48,7 +46,9 @@ namespace predtop::serve {
 struct ServiceOptions {
   std::size_t cache_capacity = 1 << 16;
   std::size_t cache_shards = 8;
-  /// Worker threads for PredictMany fan-out (0 = hardware_concurrency).
+  /// Threads of the service pool (0 = hardware_concurrency), exposed through
+  /// Pool(). PredictMany does not fan out on it: its misses run through the
+  /// compiled batch executor.
   std::size_t threads = 1;
   /// Shed headroom for deadline-carrying queries: a forward is skipped (and
   /// the query fails typed kDeadlineExceeded) unless at least this many
@@ -68,8 +68,9 @@ struct ServiceStats {
   CacheStats cache;
   // Compiled-path counters, snapshotted from the process-wide compile layer
   // (they are not per-service and stay monotonic across ResetStats): program
-  // cache outcomes, queries run through the stacked / interleaved batch
-  // executors, and autotuner timing sweeps.
+  // cache outcomes, queries the batch executor ran sequentially / interleaved
+  // (compile::BatchedForwards / InterleavedForwards), and autotuner timing
+  // sweeps.
   std::uint64_t program_cache_hits = 0;
   std::uint64_t program_cache_misses = 0;
   std::uint64_t batched_forwards = 0;
@@ -94,7 +95,7 @@ class PredictionService {
                                std::uint64_t deadline_us = 0);
 
   /// Micro-batched query: duplicate stages inside the batch are predicted
-  /// once, distinct misses run concurrently on the service pool. Returns
+  /// once, distinct misses run through one compiled batch. Returns
   /// latencies parallel to `graphs`. A nonzero `deadline_us` sheds every
   /// not-yet-forwarded query once the deadline (minus the configured margin)
   /// passes; the batch fails as a whole with kDeadlineExceeded.
@@ -120,11 +121,10 @@ class PredictionService {
                                       std::uint64_t cache_key,
                                       std::uint64_t deadline_us = 0);
 
-  /// PredictMany's batch-compiled miss path: probe/shed/claim each distinct
-  /// query, then run ALL owned misses through one LatencyRegressor::
-  /// PredictBatch call on the calling thread (one plan buffer per worker for
-  /// the whole call), fulfilling every promise with per-query cache-put,
-  /// fault-injection, and late accounting identical to PredictWithKey.
+  /// PredictMany's miss path: probe/shed/claim each distinct query, then run
+  /// ALL owned misses through one LatencyRegressor::PredictBatch call,
+  /// fulfilling every promise with per-query cache-put, fault-injection, and
+  /// late accounting identical to PredictWithKey.
   void PredictDistinctBatched(const ModelKey& key,
                               std::span<const graph::EncodedGraph* const> graphs,
                               const std::vector<std::uint64_t>& cache_keys,

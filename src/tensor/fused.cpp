@@ -8,12 +8,6 @@
 
 namespace predtop::tensor::fused {
 
-namespace {
-
-constexpr float kNegInfCut = -1e30f;
-
-}  // namespace
-
 void BiasActRows(float* c, std::int64_t rows, std::int64_t cols, std::int64_t ldc,
                  const float* bias, Act act) noexcept {
   for (std::int64_t i = 0; i < rows; ++i) {
@@ -48,57 +42,6 @@ void LayerNormRow(const float* xrow, const float* gain, const float* bias, float
     const float xh = (xrow[j] - mean) * inv;
     orow[j] = xh * gain[j] + bias[j];
   }
-}
-
-float MaskedSoftmaxRetryRow(const float* lrow, const float* mrow, float* orow,
-                            std::int64_t n) noexcept {
-  // The shift must come from lanes that survive the mask — adding a -inf mask
-  // entry to an overflowed +inf logit is NaN, so the mask is *checked*, never
-  // added, on this path.
-  float mmax = -std::numeric_limits<float>::infinity();
-  for (std::int64_t j = 0; j < n; ++j) {
-    if (mrow != nullptr && mrow[j] < kNegInfCut) continue;
-    mmax = std::max(mmax, lrow[j]);
-  }
-  if (mmax < kNegInfCut) {  // no open lane: all-zero weights, inv 0
-    std::fill(orow, orow + n, 0.0f);
-    return 0.0f;
-  }
-  float total = 0.0f;
-  for (std::int64_t j = 0; j < n; ++j) {
-    if (mrow != nullptr && mrow[j] < kNegInfCut) {
-      orow[j] = 0.0f;
-      continue;
-    }
-    const float v = lrow[j] - mmax;
-    const float e = v < -100.0f ? 0.0f : simd::ExpNonPositive(v);
-    orow[j] = e;
-    total += e;
-  }
-  return total > 0.0f ? 1.0f / total : 0.0f;
-}
-
-void DeferredSoftmaxRowWindow(const float* lrow, const float* mrow, float* orow,
-                              std::int64_t cols, std::int64_t lo, std::int64_t hi,
-                              float* inv) noexcept {
-  lo = std::clamp<std::int64_t>(lo, 0, cols);
-  hi = std::clamp<std::int64_t>(hi, lo, cols);
-  std::fill(orow, orow + lo, 0.0f);
-  std::fill(orow + hi, orow + cols, 0.0f);
-  if (hi <= lo) {
-    *inv = 0.0f;
-    return;
-  }
-  const std::int64_t w = hi - lo;
-  const float maxv = simd::MaskedRowMax(lrow + lo, nullptr, w);
-  const float total = simd::ExpShiftedNonPositiveSumN(
-      lrow + lo, mrow != nullptr ? mrow + lo : nullptr, maxv, orow + lo, w);
-  if (total > 0.0f) {
-    *inv = 1.0f / total;
-    return;
-  }
-  *inv = MaskedSoftmaxRetryRow(lrow + lo, mrow != nullptr ? mrow + lo : nullptr,
-                               orow + lo, w);
 }
 
 void DeferredSoftmaxRowChunks(const float* lrow, float* orow, std::int64_t cols,

@@ -316,19 +316,6 @@ void PackBTransposedInto(const float* bt, std::int64_t k, std::int64_t n, Packed
   PackBTransposedIntoBuf(bt, k, n, out.data.data(), ldb);
 }
 
-namespace {
-
-std::atomic<bool>& PackedGemmFlag() noexcept {
-  static std::atomic<bool> enabled{util::EnvInt("PREDTOP_GEMM_PACKED", 1) != 0};
-  return enabled;
-}
-
-}  // namespace
-
-void SetPackedGemmEnabled(bool enabled) noexcept {
-  PackedGemmFlag().store(enabled, std::memory_order_relaxed);
-}
-
 bool GemmWideTiles() noexcept { return WideTileFlag().load(std::memory_order_relaxed); }
 
 void SetGemmWideTiles(bool enabled) noexcept {
@@ -345,17 +332,12 @@ void SetGemmParMinElems(std::int64_t min_elems) noexcept {
 
 std::size_t GemmThreads() noexcept { return GemmThreadTarget(); }
 
-bool PackedGemmEnabled() noexcept {
-  return PackedGemmFlag().load(std::memory_order_relaxed);
-}
-
 bool UsePackedGemm(std::int64_t m, std::int64_t k, std::int64_t n) noexcept {
   // Packing costs O(k*n); below ~256Ki multiply-accumulates the i-k-j kernel
   // wins. Narrow outputs stay on the simd::Dot path and short k gives the
   // micro-kernel nothing to stream. The floor is kGemmRowFloor, not kGemmMr:
   // tier selection must not move when the register tile height changes.
   if (n < kGemmPanel || k < 8 || m < kGemmRowFloor) return false;
-  if (!PackedGemmEnabled()) return false;
   return m * k * n >= (std::int64_t{1} << 18);
 }
 
@@ -454,7 +436,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   Require(b.dim(0) == k, "MatMul: inner dimension mismatch");
   if (UsePackedGemm(m, k, n)) {
     // Pack into a per-thread scratch so back-to-back training GEMMs reuse the
-    // allocation; the inference fast path instead multiplies against packs
+    // allocation; compiled inference instead multiplies against packs
     // cached per nn::Linear, hitting the identical kernel (and therefore the
     // identical bits) without the per-call packing.
     thread_local PackedB scratch;

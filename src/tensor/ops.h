@@ -8,8 +8,8 @@
 //  - a register-blocked kernel over a B matrix packed into column panels
 //    (PackB / MatMulPacked), which keeps a kGemmMr x kGemmPanel accumulator
 //    tile in registers and streams packed panels — ~3-4x the i-k-j kernel at
-//    256^3 and the backbone of the tape-free inference fast path (packed
-//    weights are cached per nn::Linear);
+//    256^3 and the backbone of compiled inference (packed weights are
+//    cached per nn::Linear);
 //  - a ParallelFor-over-row-panels variant of the packed kernel on a shared
 //    process-wide util::ThreadPool for large m (PREDTOP_GEMM_THREADS /
 //    PREDTOP_GEMM_PAR_MIN_ELEMS knobs).
@@ -49,7 +49,7 @@ void SetGemmWideTiles(bool enabled) noexcept;
 /// B(k, n) packed panel-major: panel p holds columns [p*kGemmPanel, ...) laid
 /// out k-major (kGemmPanel contiguous floats per k step), the last panel
 /// zero-padded to full width. Reusable across many multiplies — nn::Linear
-/// caches one per weight matrix for the inference fast path.
+/// caches one per weight matrix for compiled inference.
 struct PackedB {
   std::int64_t k = 0;
   std::int64_t n = 0;
@@ -128,12 +128,6 @@ void PackedViewTile(const float* a, std::int64_t lda, PackedBView b, float* c,
 
 /// True when MatMul dispatches shape (m, k, n) to the packed kernel.
 [[nodiscard]] bool UsePackedGemm(std::int64_t m, std::int64_t k, std::int64_t n) noexcept;
-/// Process-wide switch for the packed tier (default from PREDTOP_GEMM_PACKED,
-/// on unless set to 0). With it off, UsePackedGemm is always false and every
-/// multiply runs the i-k-j kernel — an A/B lever so benchmarks can measure
-/// against the pre-packed baseline in-process.
-void SetPackedGemmEnabled(bool enabled) noexcept;
-[[nodiscard]] bool PackedGemmEnabled() noexcept;
 /// True when the packed kernel additionally spreads row panels across the
 /// shared GEMM ThreadPool (m*k*n >= PREDTOP_GEMM_PAR_MIN_ELEMS, default 4Mi).
 [[nodiscard]] bool UseThreadedGemm(std::int64_t m, std::int64_t k, std::int64_t n) noexcept;

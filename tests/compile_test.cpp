@@ -1,9 +1,11 @@
-// Tests for the compiled-inference subsystem (predtop::compile): fp32
-// plan-vs-tape parity for every predictor, static-arena planner properties
-// (no overlapping offsets for live-range-intersecting values, deterministic
-// layouts), allocation-free warm forwards, reduced-precision (bf16 / int8)
-// parity and MRE neutrality, program-cache LRU bounds and owner eviction,
-// and concurrent compiled forwards (run under TSan by ci/run.sh tsan).
+// Tests for the compiled-inference subsystem (predtop::compile), the only
+// inference engine: plan-vs-tape parity for every predictor (including
+// degenerate graph shapes and widths that are not packed-panel multiples),
+// typed rejection of malformed inputs, static-arena planner properties (no
+// overlapping offsets for live-range-intersecting values, deterministic
+// layouts), allocation-free warm forwards and batches, batch-executor bit
+// parity, program-cache LRU bounds and owner eviction, and concurrent
+// compiled forwards (run under TSan by ci/run.sh tsan).
 
 #include <gtest/gtest.h>
 
@@ -12,7 +14,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "compile/batch.h"
@@ -23,14 +28,11 @@
 #include "core/dataset.h"
 #include "core/predictors.h"
 #include "core/regressor.h"
+#include "graph/encode.h"
 #include "ir/stages.h"
-#include "nn/infer.h"
+#include "ir/types.h"
 #include "nn/optimizer.h"
-#include "sim/cluster.h"
-#include "sim/profiler.h"
-#include "tensor/arena.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -68,47 +70,33 @@ graph::EncodedGraph TinyEncodedStage(std::int32_t first = 1, std::int32_t last =
 constexpr PredictorKind kAllKinds[] = {PredictorKind::kDagTransformer, PredictorKind::kGcn,
                                        PredictorKind::kGat};
 
-/// Restores the compile/batch flags and weight precision on scope exit so a
-/// failing assertion cannot leak a disabled/quantized state into later tests.
-struct ScopedInferenceConfig {
-  ~ScopedInferenceConfig() {
-    compile::SetCompileEnabled(true);
-    compile::SetBatchCompileEnabled(true);
-    tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-  }
-};
-
-/// The compiled prediction for g, asserting the compiled path actually ran
-/// (the plan buffer is touched only by compile::Execute).
-float CompiledScalar(StagePredictor& model, const graph::EncodedGraph& g) {
-  compile::SetCompileEnabled(true);
-  const float y = model.InferScalar(g, nn::ThreadLocalInferenceContext());
-  EXPECT_GT(compile::ThreadPlanBufferFloats(), 0) << model.Name() << ": fell back";
-  return y;
+/// Compiled output within the 1e-6 relative parity contract of the tape.
+void ExpectMatchesTape(StagePredictor& model, const graph::EncodedGraph& g,
+                       const std::string& what) {
+  const float tape = model.Forward(g).value().data()[0];
+  const float compiled = model.InferScalar(g);
+  ASSERT_TRUE(std::isfinite(compiled)) << model.Name() << " " << what;
+  EXPECT_LE(std::abs(compiled - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
+      << model.Name() << " " << what << ": tape=" << tape << " compiled=" << compiled;
 }
 
-// ---- fp32 parity: compiled program vs autograd tape vs op-by-op path ----
+// ---- parity: compiled program vs autograd tape ----
 
 TEST(CompiledParity, AllPredictorsMatchTapeAndFastPath) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph g = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
-    const float tape = model->Forward(g).value().data()[0];
-    const float compiled = CompiledScalar(*model, g);
-    ASSERT_TRUE(std::isfinite(compiled)) << model->Name();
-    EXPECT_LE(std::abs(compiled - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
-        << model->Name() << ": tape=" << tape << " compiled=" << compiled;
-    compile::SetCompileEnabled(false);
-    const float fast = model->InferScalar(g, nn::ThreadLocalInferenceContext());
-    compile::SetCompileEnabled(true);
-    EXPECT_LE(std::abs(compiled - fast), 1e-6f * std::max(1.0f, std::abs(fast)))
-        << model->Name() << ": fast=" << fast << " compiled=" << compiled;
+    ExpectMatchesTape(*model, g, "tiny stage");
+    // The program the forward ran is the cached one for g's shape class.
+    EXPECT_NE(compile::ProgramCache::Global().Lookup(
+                  model->InstanceId(), g.num_nodes,
+                  static_cast<std::int64_t>(g.edge_src.size())),
+              nullptr)
+        << model->Name();
   }
 }
 
 TEST(CompiledParity, DagTransformerAblationsMatchTape) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph g = TinyEncodedStage();
   for (const bool use_dagra : {true, false}) {
     for (const bool use_dagpe : {true, false}) {
@@ -117,7 +105,7 @@ TEST(CompiledParity, DagTransformerAblationsMatchTape) {
       options.use_dagpe = use_dagpe;
       auto model = MakePredictor(PredictorKind::kDagTransformer, options);
       const float tape = model->Forward(g).value().data()[0];
-      const float compiled = CompiledScalar(*model, g);
+      const float compiled = model->InferScalar(g);
       EXPECT_LE(std::abs(compiled - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
           << "dagra=" << use_dagra << " dagpe=" << use_dagpe;
     }
@@ -125,17 +113,16 @@ TEST(CompiledParity, DagTransformerAblationsMatchTape) {
 }
 
 TEST(CompiledParity, SnapshotTracksOptimizerStep) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph g = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
-    const float before = CompiledScalar(*model, g);
+    const float before = model->InferScalar(g);
     nn::Adam adam(*model);
     model->ZeroGrad();
     autograd::Backward(model->Forward(g));
     adam.Step(0.05f);
     const float tape = model->Forward(g).value().data()[0];
-    const float compiled = CompiledScalar(*model, g);
+    const float compiled = model->InferScalar(g);
     ASSERT_NE(before, tape) << model->Name() << ": step did not move the output";
     EXPECT_LE(std::abs(compiled - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
         << model->Name() << ": stale snapshot after epoch bump";
@@ -143,44 +130,153 @@ TEST(CompiledParity, SnapshotTracksOptimizerStep) {
 }
 
 TEST(CompiledParity, MultipleShapeClassesCoexist) {
-  ScopedInferenceConfig guard;
   const std::vector<graph::EncodedGraph> graphs{
       TinyEncodedStage(0, 1), TinyEncodedStage(1, 2), TinyEncodedStage(0, 3)};
   auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
   for (const auto& g : graphs) {
     const float tape = model->Forward(g).value().data()[0];
-    const float compiled = CompiledScalar(*model, g);
+    const float compiled = model->InferScalar(g);
     EXPECT_LE(std::abs(compiled - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
         << "n=" << g.num_nodes;
+  }
+}
+
+// ---- degenerate shapes and malformed inputs ----
+
+graph::DagNode OpNode(std::int32_t op_type, std::int64_t d0, std::int64_t d1) {
+  return {graph::NodeKind::kOperator, op_type % ir::kNumOpTypes, 0, {d0, d1, 1, 1}};
+}
+
+/// Encodes a hand-built DAG with the stage vocabularies, so its feature width
+/// is the predictors' StageFeatureDim().
+graph::EncodedGraph EncodeDag(const graph::OpDag& dag) {
+  return graph::EncodeGraph(dag, ir::kNumOpTypes, ir::kNumDTypes);
+}
+
+graph::EncodedGraph SingleNodeGraph() {
+  graph::OpDag dag;
+  (void)dag.AddNode(OpNode(3, 8, 4));
+  return EncodeDag(dag);
+}
+
+graph::EncodedGraph EdgelessGraph(int nodes) {
+  graph::OpDag dag;
+  for (int i = 0; i < nodes; ++i) (void)dag.AddNode(OpNode(i, 8 << (i % 4), 4));
+  return EncodeDag(dag);
+}
+
+/// One sink fed by `fan_in` independent producers.
+graph::EncodedGraph WideFanInGraph(int fan_in) {
+  graph::OpDag dag;
+  const std::int32_t sink = dag.AddNode(OpNode(5, 64, 64));
+  for (int i = 0; i < fan_in; ++i) dag.AddEdge(dag.AddNode(OpNode(i, 16 + i, 8)), sink);
+  return EncodeDag(dag);
+}
+
+/// Seeded random DAG (edges only from lower to higher index).
+graph::EncodedGraph RandomDag(util::Rng& rng, int nodes) {
+  graph::OpDag dag;
+  for (int i = 0; i < nodes; ++i) {
+    (void)dag.AddNode(OpNode(static_cast<std::int32_t>(rng.NextBelow(64)),
+                             1 + static_cast<std::int64_t>(rng.NextBelow(512)), 4));
+  }
+  for (int v = 1; v < nodes; ++v) {
+    for (int u = 0; u < v; ++u) {
+      if (rng.NextBelow(8) == 0) dag.AddEdge(u, v);
+    }
+  }
+  return EncodeDag(dag);
+}
+
+TEST(CompiledParity, DegenerateShapesMatchTape) {
+  util::Rng rng(0xd36e);
+  std::vector<std::pair<std::string, graph::EncodedGraph>> graphs;
+  graphs.emplace_back("single node", SingleNodeGraph());
+  graphs.emplace_back("no edges", EdgelessGraph(9));
+  graphs.emplace_back("wide fan-in", WideFanInGraph(240));
+  for (int i = 0; i < 4; ++i) {
+    graphs.emplace_back("random dag " + std::to_string(i),
+                        RandomDag(rng, 1 + static_cast<int>(rng.NextBelow(60))));
+  }
+  // Widths that are not multiples of the 16-wide packed panel (the fuser
+  // declines them, so attention runs unfused) next to panel multiples.
+  struct Widths {
+    std::int64_t dagt_dim, dagt_heads, gcn_dim, gat_dim;
+  };
+  for (const Widths w : {Widths{24, 3, 40, 24}, Widths{40, 2, 40, 40}, Widths{32, 2, 48, 16}}) {
+    PredictorOptions options = TinyOptions();
+    options.dagt_dim = w.dagt_dim;
+    options.dagt_heads = w.dagt_heads;
+    options.gcn_dim = w.gcn_dim;
+    options.gat_dim = w.gat_dim;
+    for (const PredictorKind kind : kAllKinds) {
+      auto model = MakePredictor(kind, options);
+      for (const auto& [what, g] : graphs) {
+        ExpectMatchesTape(*model, g,
+                          what + " (n=" + std::to_string(g.num_nodes) +
+                              ", dagt_dim=" + std::to_string(w.dagt_dim) + ")");
+      }
+    }
+  }
+}
+
+TEST(CompiledParity, MalformedInputsThrowInvalidArgument) {
+  const graph::EncodedGraph good = TinyEncodedStage();
+  graph::EncodedGraph wide_features = good;
+  wide_features.features = tensor::Tensor::Zeros({good.num_nodes, StageFeatureDim() + 1});
+  graph::EncodedGraph no_adjacency = good;
+  no_adjacency.adj_norm = nullptr;
+  graph::EncodedGraph ragged_edges = good;
+  ragged_edges.edge_dst.pop_back();
+  const graph::EncodedGraph no_nodes;
+  // Cold: the builder rejects the graph; warm: a program for the shape class
+  // is cached already and the executor's input check rejects it.
+  for (const bool warm : {false, true}) {
+    for (const PredictorKind kind : kAllKinds) {
+      LatencyRegressor regressor(kind, TinyOptions());
+      StagePredictor& model = regressor.Model();
+      if (warm) (void)model.InferScalar(good);
+      std::vector<const graph::EncodedGraph*> malformed{&wide_features, &no_nodes};
+      if (kind == PredictorKind::kGcn) malformed.push_back(&no_adjacency);
+      if (kind == PredictorKind::kGat) malformed.push_back(&ragged_edges);
+      for (const graph::EncodedGraph* g : malformed) {
+        float out = 0.0f;
+        EXPECT_THROW((void)model.InferScalar(*g), std::invalid_argument) << model.Name();
+        EXPECT_THROW(model.InferScalarBatch(&g, 1, &out), std::invalid_argument)
+            << model.Name();
+        EXPECT_THROW((void)regressor.PredictSeconds(*g), std::invalid_argument)
+            << model.Name();
+        const std::vector<const graph::EncodedGraph*> batch{&good, g};
+        EXPECT_THROW((void)regressor.PredictBatch(batch), std::invalid_argument)
+            << model.Name();
+      }
+      // A rejected graph leaves the model serving well-formed ones.
+      ExpectMatchesTape(model, good, warm ? "warm" : "cold");
+    }
   }
 }
 
 // ---- determinism and the allocation-free warm forward ----
 
 TEST(CompiledDeterminism, RepeatedExecuteIsBitIdentical) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph g = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
-    const float first = CompiledScalar(*model, g);
+    const float first = model->InferScalar(g);
     for (int i = 0; i < 5; ++i) {
-      ASSERT_EQ(CompiledScalar(*model, g), first) << model->Name() << " run " << i;
+      ASSERT_EQ(model->InferScalar(g), first) << model->Name() << " run " << i;
     }
   }
 }
 
 TEST(CompiledArena, WarmForwardAllocatesNothing) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph g = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
-    nn::InferenceContext& ctx = nn::ThreadLocalInferenceContext();
-    (void)CompiledScalar(*model, g);  // cold: builds program, grows plan buffer
+    (void)model->InferScalar(g);  // cold: builds program, grows plan buffer
     const std::int64_t plan_floats = compile::ThreadPlanBufferFloats();
-    ctx.BeginForward();  // rewind the arena so its epoch counter reads zero
-    for (int i = 0; i < 3; ++i) (void)CompiledScalar(*model, g);
-    EXPECT_EQ(ctx.arena().EpochFloats(), 0)
-        << model->Name() << ": compiled forward touched the dynamic arena";
+    EXPECT_GT(plan_floats, 0) << model->Name();
+    for (int i = 0; i < 3; ++i) (void)model->InferScalar(g);
     EXPECT_EQ(compile::ThreadPlanBufferFloats(), plan_floats)
         << model->Name() << ": warm forward grew the plan buffer";
   }
@@ -266,7 +362,6 @@ PredictorOptions PaperOptions() {
 }
 
 TEST(FusedParity, PaperScaleGraphTakesFusedKernelAndMatchesTape) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph& g = PaperScaleStage();
   const std::int64_t n = g.num_nodes;
   // Preconditions for the fused kernel (dim 64, head_dim 16).
@@ -277,190 +372,33 @@ TEST(FusedParity, PaperScaleGraphTakesFusedKernelAndMatchesTape) {
     PredictorOptions options = PaperOptions();
     options.use_dagra = use_dagra;
     auto model = MakePredictor(PredictorKind::kDagTransformer, options);
-    const float tape = model->Forward(g).value().data()[0];
-    const float compiled = CompiledScalar(*model, g);
-    const auto hit = compile::ProgramCache::Global().Lookup(
+    ExpectMatchesTape(*model, g, use_dagra ? "dagra" : "no dagra");
+    const auto program = compile::ProgramCache::Global().Lookup(
         model->InstanceId(), n, static_cast<std::int64_t>(g.edge_src.size()));
-    ASSERT_TRUE(hit.has_value());
-    ASSERT_NE(*hit, nullptr);
+    ASSERT_NE(program, nullptr);
     int fused = 0;
-    for (const compile::Step& s : (*hit)->steps) {
+    for (const compile::Step& s : program->steps) {
       fused += s.kind == compile::OpKind::kFusedAttention ? 1 : 0;
     }
     EXPECT_EQ(fused, 4) << "expected every layer's attention to fuse";
-    EXPECT_LE(std::abs(compiled - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
-        << "dagra=" << use_dagra << ": tape=" << tape << " compiled=" << compiled;
-    compile::SetCompileEnabled(false);
-    const float fast = model->InferScalar(g, nn::ThreadLocalInferenceContext());
-    compile::SetCompileEnabled(true);
-    EXPECT_LE(std::abs(compiled - fast), 1e-6f * std::max(1.0f, std::abs(fast)))
-        << "dagra=" << use_dagra << ": fast=" << fast << " compiled=" << compiled;
-  }
-}
-
-TEST(FusedParity, QuantTiersEngageAtPaperScale) {
-  ScopedInferenceConfig guard;
-  const graph::EncodedGraph& g = PaperScaleStage();
-  auto model = MakePredictor(PredictorKind::kDagTransformer, PaperOptions());
-  tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-  const float fp32 = CompiledScalar(*model, g);
-  for (const tensor::GemmPrec prec : {tensor::GemmPrec::kBf16, tensor::GemmPrec::kInt8}) {
-    tensor::SetWeightPrec(prec);
-    const float quant = CompiledScalar(*model, g);
-    ASSERT_TRUE(std::isfinite(quant));
-    // The packed tier runs at this scale, so the reduced-precision panels
-    // genuinely engage: the output must move, but stay within the 1e-2
-    // relative parity contract.
-    EXPECT_NE(quant, fp32) << tensor::GemmPrecName(prec) << " tier never engaged";
-    EXPECT_LE(std::abs(quant - fp32), 1e-2f * std::max(1.0f, std::abs(fp32)))
-        << tensor::GemmPrecName(prec) << ": fp32=" << fp32 << " quant=" << quant;
-  }
-}
-
-// ---- reduced-precision tiers ----
-
-TEST(CompiledQuant, Bf16AndInt8TrackFp32) {
-  ScopedInferenceConfig guard;
-  const graph::EncodedGraph g = TinyEncodedStage();
-  for (const PredictorKind kind : kAllKinds) {
-    auto model = MakePredictor(kind, TinyOptions());
-    tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-    const float fp32 = CompiledScalar(*model, g);
-    for (const tensor::GemmPrec prec : {tensor::GemmPrec::kBf16, tensor::GemmPrec::kInt8}) {
-      tensor::SetWeightPrec(prec);
-      const float quant = CompiledScalar(*model, g);
-      ASSERT_TRUE(std::isfinite(quant)) << model->Name();
-      EXPECT_LE(std::abs(quant - fp32), 1e-2f * std::max(1.0f, std::abs(fp32)))
-          << model->Name() << " prec=" << tensor::GemmPrecName(prec) << ": fp32=" << fp32
-          << " quant=" << quant;
-    }
-    tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-    // Returning to fp32 must drop the quantized snapshot, not serve it.
-    EXPECT_EQ(CompiledScalar(*model, g), fp32) << model->Name();
-  }
-}
-
-namespace {
-
-struct QuantSuite {
-  StageDataset dataset;
-  std::vector<std::size_t> idx;
-  std::unique_ptr<LatencyRegressor> regressor;
-};
-
-/// Builds a scaled-down Table V cell (GPT-3 on Platform 1) and fits a DAG
-/// transformer of the given width to it.
-QuantSuite TrainedQuantSuite(std::int64_t dagt_dim, std::int64_t heads,
-                             int epochs) {
-  QuantSuite s;
-  const BenchmarkModel benchmark = Gpt3Benchmark(ir::Gpt3Config{});
-  const parallel::IntraOpCompiler compiler(sim::Platform1(), sim::Mesh{1, 2});
-  sim::Profiler profiler({}, 14);
-  DatasetBuildConfig build;
-  build.num_samples = 8;
-  build.max_span = 5;
-  s.dataset = BuildStageDataset(benchmark, compiler, {2, 1, 1}, profiler, build);
-  s.idx.resize(s.dataset.Size());
-  for (std::size_t i = 0; i < s.idx.size(); ++i) s.idx[i] = i;
-  PredictorOptions options = PaperOptions();
-  options.dagt_dim = dagt_dim;
-  options.dagt_heads = heads;
-  options.dagt_layers = 2;
-  s.regressor =
-      std::make_unique<LatencyRegressor>(PredictorKind::kDagTransformer, options);
-  nn::TrainConfig train;
-  train.max_epochs = epochs;
-  train.patience = epochs;
-  train.batch_size = 4;
-  (void)s.regressor->Fit(s.dataset, s.idx, s.idx, train);
-  return s;
-}
-
-}  // namespace
-
-TEST(CompiledQuant, MreNeutralOnTinyTable5Suite) {
-  // Satellite: the Table V/VI suites run the bench-default transformer width
-  // (dagt_dim = 16). At that width every GEMM in the trunk sits below the
-  // packed-tier floor (m*k*n >= 2^18), so the tier-selection rule keeps all
-  // of them in fp32 regardless of PREDTOP_GEMM_PREC — the floor doubles as
-  // the precision fallback rule, and reduced precision is exactly
-  // accuracy-neutral where the tables are produced. Asserted per tier:
-  // MRE degrades < 0.1pp (it is bit-identical, in fact).
-  ScopedInferenceConfig guard;
-  QuantSuite s = TrainedQuantSuite(/*dagt_dim=*/16, /*heads=*/4, /*epochs=*/60);
-  tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-  const double fp32_mre = s.regressor->MrePercent(s.dataset, s.idx);
-  for (const tensor::GemmPrec prec : {tensor::GemmPrec::kBf16, tensor::GemmPrec::kInt8}) {
-    tensor::SetWeightPrec(prec);
-    const double quant_mre = s.regressor->MrePercent(s.dataset, s.idx);
-    EXPECT_LE(std::abs(quant_mre - fp32_mre), 0.1)
-        << tensor::GemmPrecName(prec) << ": fp32 MRE=" << fp32_mre
-        << "% quant MRE=" << quant_mre << "%";
-  }
-}
-
-TEST(CompiledQuant, QuantCostBoundedAtDim64) {
-  // Stress regime: a dim-64 trunk on paper-size graphs, where the packed
-  // tier (and so the quantized kernels) carries the bulk of the arithmetic.
-  // A trained DAG transformer amplifies weight rounding through its sharp
-  // attention softmax (a 0.4% bf16 weight error can move a prediction by a
-  // few percent), so the reduced tiers are NOT free here; this test pins the
-  // measured ceiling so a regression in the quantized kernels can't hide:
-  // bf16 ~0.9pp / int8 ~4pp MRE on this fixed-seed suite, asserted with
-  // margin, and the compiled program must track the op-by-op fast path under
-  // both tiers (same packs, same tier dispatch; the residual 1e-5-scale gap
-  // is the same amplification applied to 1e-6-scale kernel differences).
-  ScopedInferenceConfig guard;
-  QuantSuite s = TrainedQuantSuite(/*dagt_dim=*/64, /*heads=*/4, /*epochs=*/120);
-  tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-  const double fp32_mre = s.regressor->MrePercent(s.dataset, s.idx);
-  std::vector<double> fp32_pred(s.dataset.Size());
-  for (std::size_t i = 0; i < s.dataset.Size(); ++i) {
-    fp32_pred[i] = s.regressor->PredictSeconds(s.dataset.samples[i].encoded);
-  }
-  struct TierBound {
-    tensor::GemmPrec prec;
-    double rel_pred;  // max per-prediction relative deviation vs fp32
-    double mre_pp;    // max MRE degradation, percentage points
-  };
-  for (const TierBound tier : {TierBound{tensor::GemmPrec::kBf16, 0.15, 1.5},
-                               TierBound{tensor::GemmPrec::kInt8, 0.40, 5.0}}) {
-    tensor::SetWeightPrec(tier.prec);
-    for (std::size_t i = 0; i < s.dataset.Size(); ++i) {
-      const double quant = s.regressor->PredictSeconds(s.dataset.samples[i].encoded);
-      compile::SetCompileEnabled(false);
-      const double quant_ref = s.regressor->PredictSeconds(s.dataset.samples[i].encoded);
-      compile::SetCompileEnabled(true);
-      EXPECT_NEAR(quant, quant_ref, 1e-4 * quant_ref)
-          << tensor::GemmPrecName(tier.prec) << " sample " << i;
-      EXPECT_LE(std::abs(quant - fp32_pred[i]), tier.rel_pred * fp32_pred[i])
-          << tensor::GemmPrecName(tier.prec) << " sample " << i << ": fp32="
-          << fp32_pred[i] << "s quant=" << quant << "s";
-    }
-    const double quant_mre = s.regressor->MrePercent(s.dataset, s.idx);
-    EXPECT_LE(quant_mre - fp32_mre, tier.mre_pp)
-        << tensor::GemmPrecName(tier.prec) << ": fp32 MRE=" << fp32_mre
-        << "% quant MRE=" << quant_mre << "%";
   }
 }
 
 // ---- program cache ----
 
 TEST(ProgramCache, EntriesAreEvictedWhenOwnerDies) {
-  ScopedInferenceConfig guard;
   auto& cache = compile::ProgramCache::Global();
   cache.Clear();
   const graph::EncodedGraph g = TinyEncodedStage();
   {
     auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
-    (void)CompiledScalar(*model, g);
+    (void)model->InferScalar(g);
     EXPECT_GE(cache.Size(), 1u);
   }
   EXPECT_EQ(cache.Size(), 0u);  // ~StagePredictor evicted its programs
 }
 
 TEST(ProgramCache, LruStaysWithinCapacity) {
-  ScopedInferenceConfig guard;
   auto& cache = compile::ProgramCache::Global();
   cache.Clear();
   cache.SetCapacity(2);
@@ -470,44 +408,29 @@ TEST(ProgramCache, LruStaysWithinCapacity) {
   auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
   for (const auto& g : graphs) {
     const float tape = model->Forward(g).value().data()[0];
-    const float compiled = CompiledScalar(*model, g);  // recompiles on eviction
+    const float compiled = model->InferScalar(g);  // recompiles on eviction
     EXPECT_LE(std::abs(compiled - tape), 1e-6f * std::max(1.0f, std::abs(tape)));
     EXPECT_LE(cache.Size(), 2u);
   }
   cache.SetCapacity(128);
 }
 
-TEST(ProgramCache, DisabledFlagFallsBackToFastPath) {
-  ScopedInferenceConfig guard;
-  auto& cache = compile::ProgramCache::Global();
-  cache.Clear();
-  compile::SetCompileEnabled(false);
-  const graph::EncodedGraph g = TinyEncodedStage();
-  auto model = MakePredictor(PredictorKind::kGcn, TinyOptions());
-  const float tape = model->Forward(g).value().data()[0];
-  const float fast = model->InferScalar(g, nn::ThreadLocalInferenceContext());
-  EXPECT_LE(std::abs(fast - tape), 1e-6f * std::max(1.0f, std::abs(tape)));
-  EXPECT_EQ(cache.Size(), 0u);  // the gate short-circuits before compiling
-}
-
 // ---- concurrency (exercised under TSan via ci/run.sh tsan) ----
 
 TEST(CompiledConcurrency, SharedModelConcurrentCompiledForwardIsStable) {
-  ScopedInferenceConfig guard;
   const std::vector<graph::EncodedGraph> graphs{
       TinyEncodedStage(0, 1), TinyEncodedStage(1, 2), TinyEncodedStage(2, 3),
       TinyEncodedStage(0, 3)};
   auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
   std::vector<float> expected;
-  for (const auto& g : graphs) expected.push_back(CompiledScalar(*model, g));
+  for (const auto& g : graphs) expected.push_back(model->InferScalar(g));
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 16; ++i) {
         const std::size_t which = static_cast<std::size_t>(t + i) % graphs.size();
-        const float y =
-            model->InferScalar(graphs[which], nn::ThreadLocalInferenceContext());
+        const float y = model->InferScalar(graphs[which]);
         if (y != expected[which]) mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -546,18 +469,17 @@ BatchFixture MakeBatchFixture(StagePredictor& model, const graph::EncodedGraph& 
   f.graphs = DistinctSameShapeBatch(base, count);
   for (const auto& g : f.graphs) {
     f.ptrs.push_back(&g);
-    f.expected.push_back(CompiledScalar(model, g));
+    f.expected.push_back(model.InferScalar(g));
   }
   return f;
 }
 
-/// Runs the first `batch` queries of `f` through TryInferCompiledBatch under
+/// Runs the first `batch` queries of `f` through InferScalarBatch under
 /// `opts` and asserts bit-exact agreement with the sequential expectations.
 void ExpectBatchParity(StagePredictor& model, const BatchFixture& f, std::size_t batch,
                        const compile::BatchOptions& opts, const char* what) {
   std::vector<float> out(batch, -1.0f);
-  ASSERT_TRUE(model.TryInferCompiledBatch(f.ptrs.data(), batch, out.data(), opts))
-      << model.Name() << " " << what << " batch=" << batch << ": fell back";
+  model.InferScalarBatch(f.ptrs.data(), batch, out.data(), opts);
   for (std::size_t q = 0; q < batch; ++q) {
     ASSERT_EQ(out[q], f.expected[q])
         << model.Name() << " " << what << " batch=" << batch << " q=" << q;
@@ -566,23 +488,21 @@ void ExpectBatchParity(StagePredictor& model, const BatchFixture& f, std::size_t
 
 constexpr std::size_t kBatchSizes[] = {1, 2, 7, 64};
 
-TEST(CompiledBatch, StackedModeMatchesSequentialBitExact) {
-  ScopedInferenceConfig guard;
+TEST(CompiledBatch, SequentialModeMatchesExecuteBitExact) {
   const graph::EncodedGraph base = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
     const BatchFixture f = MakeBatchFixture(*model, base, 64);
     compile::BatchOptions opts;
-    opts.mode = compile::BatchMode::kBatched;
+    opts.mode = compile::BatchMode::kSequential;
     for (const std::size_t batch : kBatchSizes) {
-      ExpectBatchParity(*model, f, batch, opts, "stacked");
+      ExpectBatchParity(*model, f, batch, opts, "sequential");
       if (HasFatalFailure()) return;
     }
   }
 }
 
 TEST(CompiledBatch, InterleavedModeMatchesAcrossThreadCounts) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph base = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
@@ -601,7 +521,6 @@ TEST(CompiledBatch, InterleavedModeMatchesAcrossThreadCounts) {
 }
 
 TEST(CompiledBatch, DagTransformerAblationsMatchInBatch) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph base = TinyEncodedStage();
   for (const bool use_dagra : {true, false}) {
     for (const bool use_dagpe : {true, false}) {
@@ -610,16 +529,20 @@ TEST(CompiledBatch, DagTransformerAblationsMatchInBatch) {
       options.use_dagpe = use_dagpe;
       auto model = MakePredictor(PredictorKind::kDagTransformer, options);
       const BatchFixture f = MakeBatchFixture(*model, base, 7);
-      compile::BatchOptions opts;
-      opts.mode = compile::BatchMode::kBatched;
-      ExpectBatchParity(*model, f, 7, opts, "ablation");
-      if (HasFatalFailure()) return;
+      util::ThreadPool pool(2);
+      for (const compile::BatchMode mode :
+           {compile::BatchMode::kSequential, compile::BatchMode::kInterleaved}) {
+        compile::BatchOptions opts;
+        opts.mode = mode;
+        opts.pool = &pool;
+        ExpectBatchParity(*model, f, 7, opts, "ablation");
+        if (HasFatalFailure()) return;
+      }
     }
   }
 }
 
 TEST(CompiledBatch, AutoModeCountsEveryQuery) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph base = TinyEncodedStage();
   auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
   const BatchFixture f = MakeBatchFixture(*model, base, 5);
@@ -631,7 +554,6 @@ TEST(CompiledBatch, AutoModeCountsEveryQuery) {
 }
 
 TEST(CompiledBatch, RegressorBatchMatchesSequentialAcrossShapes) {
-  ScopedInferenceConfig guard;
   // Three shape classes, interleaved and with same-shape duplicates: the
   // regressor must split per shape, run each group batched, and scatter the
   // results back in caller order.
@@ -648,58 +570,41 @@ TEST(CompiledBatch, RegressorBatchMatchesSequentialAcrossShapes) {
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(batched[i], expected[i]) << regressor.Model().Name() << " i=" << i;
     }
-    // The kill switch reverts to sequential replay — still bit-identical.
-    compile::SetBatchCompileEnabled(false);
-    const std::vector<double> fallback =
-        regressor.PredictBatch(std::span<const graph::EncodedGraph>(graphs));
-    compile::SetBatchCompileEnabled(true);
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(fallback[i], expected[i]) << regressor.Model().Name() << " i=" << i;
-    }
   }
 }
 
 TEST(CompiledBatchArena, WarmBatchAllocatesNothing) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph base = TinyEncodedStage();
   auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
   const BatchFixture f = MakeBatchFixture(*model, base, 8);
   std::vector<float> out(8);
   compile::BatchOptions opts;
-  opts.mode = compile::BatchMode::kBatched;
-  // Cold: compiles the program (if needed) and grows the batched plan buffer.
-  ASSERT_TRUE(model->TryInferCompiledBatch(f.ptrs.data(), 8, out.data(), opts));
-  const std::int64_t batch_floats = compile::ThreadBatchBufferFloats();
-  EXPECT_GT(batch_floats, 0);
-  nn::InferenceContext& ctx = nn::ThreadLocalInferenceContext();
-  ctx.BeginForward();  // rewind the arena so its epoch counter reads zero
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(model->TryInferCompiledBatch(f.ptrs.data(), 8, out.data(), opts));
-  }
-  EXPECT_EQ(ctx.arena().EpochFloats(), 0)
-      << "warm batched forward touched the dynamic arena";
-  EXPECT_EQ(compile::ThreadBatchBufferFloats(), batch_floats)
-      << "warm batched forward grew the plan buffer";
+  opts.mode = compile::BatchMode::kSequential;
+  // Cold: compiles the program (if needed) and grows the plan buffer.
+  model->InferScalarBatch(f.ptrs.data(), 8, out.data(), opts);
+  const std::int64_t plan_floats = compile::ThreadPlanBufferFloats();
+  EXPECT_GT(plan_floats, 0);
+  for (int i = 0; i < 3; ++i) model->InferScalarBatch(f.ptrs.data(), 8, out.data(), opts);
+  EXPECT_EQ(compile::ThreadPlanBufferFloats(), plan_floats)
+      << "warm batch grew the plan buffer";
 }
 
 TEST(ProgramCache, HitAndMissCountersAreMonotonic) {
-  ScopedInferenceConfig guard;
   auto& cache = compile::ProgramCache::Global();
   cache.Clear();
   const graph::EncodedGraph g = TinyEncodedStage();
   auto model = MakePredictor(PredictorKind::kGcn, TinyOptions());
   const std::uint64_t misses0 = cache.Misses();
-  (void)CompiledScalar(*model, g);  // cold: misses, then compiles and inserts
+  (void)model->InferScalar(g);  // cold: misses, then compiles and inserts
   EXPECT_GT(cache.Misses(), misses0);
   const std::uint64_t hits1 = cache.Hits();
   const std::uint64_t misses1 = cache.Misses();
-  (void)CompiledScalar(*model, g);  // warm: pure hit
+  (void)model->InferScalar(g);  // warm: pure hit
   EXPECT_GT(cache.Hits(), hits1);
   EXPECT_EQ(cache.Misses(), misses1);
 }
 
 TEST(TuneTableResolution, EnvOverridesWinAndResolutionIsSticky) {
-  ScopedInferenceConfig guard;
   const bool wide0 = tensor::GemmWideTiles();
   const std::int64_t pme0 = tensor::GemmParMinElems();
   const std::uint64_t sweeps0 = compile::AutotuneSweeps();
@@ -731,7 +636,6 @@ TEST(TuneTableResolution, EnvOverridesWinAndResolutionIsSticky) {
 }
 
 TEST(TuneTableResolution, DefaultResolutionNeverMovesTensorKnobs) {
-  ScopedInferenceConfig guard;
   const bool wide0 = tensor::GemmWideTiles();
   const std::int64_t pme0 = tensor::GemmParMinElems();
   tensor::SetGemmWideTiles(!wide0);  // pretend a test manages this global
@@ -744,11 +648,10 @@ TEST(TuneTableResolution, DefaultResolutionNeverMovesTensorKnobs) {
   compile::detail::ResetTuneTableForTest();
 }
 
-// Exercised under TSan via ci/run.sh tsan: concurrent stacked batches on one
-// shared model hit the program cache, the weight snapshot, and the per-thread
-// batch buffers from many threads at once.
+// Exercised under TSan via ci/run.sh tsan: concurrent batches on one shared
+// model hit the program cache, the weight snapshot, and the per-thread plan
+// buffers from many threads at once.
 TEST(CompiledBatchConcurrency, SharedModelConcurrentBatchForwardIsStable) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph base = TinyEncodedStage();
   auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
   const BatchFixture f = MakeBatchFixture(*model, base, 6);
@@ -757,14 +660,10 @@ TEST(CompiledBatchConcurrency, SharedModelConcurrentBatchForwardIsStable) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       compile::BatchOptions opts;
-      opts.mode = compile::BatchMode::kBatched;
+      opts.mode = compile::BatchMode::kSequential;
       std::vector<float> out(f.ptrs.size());
       for (int i = 0; i < 16; ++i) {
-        if (!model->TryInferCompiledBatch(f.ptrs.data(), f.ptrs.size(), out.data(),
-                                          opts)) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
+        model->InferScalarBatch(f.ptrs.data(), f.ptrs.size(), out.data(), opts);
         for (std::size_t q = 0; q < f.ptrs.size(); ++q) {
           if (out[q] != f.expected[q]) {
             mismatches.fetch_add(1, std::memory_order_relaxed);

@@ -548,6 +548,44 @@ TEST(ServingOracle, PlanSearchCompletesUnderInjectionAndReportsDegradedFraction)
   EXPECT_EQ(stats.degraded, stats.queries);  // degraded fraction = 100%
 }
 
+TEST(ServingOracle, ModelNanIsReportedAndDegradesToFallback) {
+  // Regression: the latency clamp used to be std::max(1e-6, pred), which
+  // maps a NaN forward to a 1 us stage, so a model producing NaN never
+  // reached the finite-only checks below it. A NaN weight must surface as a
+  // NaN prediction on every path, and the oracle must answer the stage from
+  // the fallback, tagged degraded.
+  ServingFixture fx;
+  const std::shared_ptr<core::LatencyRegressor> model = fx.registry->Find(fx.key);
+  ASSERT_NE(model, nullptr);
+  std::vector<nn::NamedParameter> params = model->Model().NamedParameters();
+  ASSERT_EQ(params.back().name, "head.layers.1.bias");
+  for (float& w : params.back().variable->mutable_value().data()) {
+    w = std::numeric_limits<float>::quiet_NaN();
+  }
+  nn::BumpParameterEpoch();  // weights changed in place: drop the packed snapshots
+
+  const graph::EncodedGraph& g = fx.Encoded({0, 2});
+  EXPECT_TRUE(std::isnan(model->PredictSeconds(g)));
+  EXPECT_TRUE(std::isnan(model->PredictSecondsTape(g)));
+  const std::vector<const graph::EncodedGraph*> batch{&g};
+  EXPECT_TRUE(std::isnan(model->PredictBatch(batch).front()));
+  EXPECT_TRUE(std::isnan(fx.service->Predict(fx.key, g)));
+
+  serve::ServingOracleOptions options;
+  options.fallback = fx.fallback;
+  const serve::ServingOracle oracle(*fx.service, {fx.key.mesh}, {fx.key}, fx.Encoder(),
+                                    /*max_span=*/0, options);
+  const parallel::StageLatencyResult scalar = oracle(ir::StageSlice{0, 2}, fx.key.mesh);
+  EXPECT_TRUE(std::isfinite(scalar.latency_s));
+  EXPECT_TRUE(scalar.degraded);
+  const std::vector<parallel::StageQuery> queries{{ir::StageSlice{0, 2}, fx.key.mesh}};
+  const std::vector<parallel::StageLatencyResult> batched = oracle.PredictBatch(queries);
+  ASSERT_EQ(batched.size(), 1u);
+  EXPECT_TRUE(std::isfinite(batched[0].latency_s));
+  EXPECT_TRUE(batched[0].degraded);
+  EXPECT_EQ(oracle.Stats().degraded, 2u);
+}
+
 TEST(ServingOracle, DisabledInjectionIsBitIdenticalToLegacyPath) {
   // With no options and no injection, the hardened oracle must answer
   // exactly like the seed implementation: same values, exceptions propagate.

@@ -1,8 +1,8 @@
-// Tests for the tape-free inference fast path: packed-GEMM numerics, the
-// tensor arena, InferForward/Forward parity for every predictor (including
+// Tests for the inference path's numerics: packed-GEMM kernels, compiled
+// InferScalar vs autograd Forward parity for every predictor (including
 // after parameter mutation, which must invalidate the cached packed
-// weights), and concurrent fast-path prediction (run under TSan by
-// ci/run.sh tsan).
+// weights), the fused attention's deferred softmax, and concurrent prediction
+// (run under TSan by ci/run.sh tsan).
 
 #include <gtest/gtest.h>
 
@@ -18,12 +18,10 @@
 #include "core/predictors.h"
 #include "core/regressor.h"
 #include "graph/fingerprint.h"
-#include "nn/infer.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
-#include "tensor/arena.h"
+#include "tensor/fused.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "util/rng.h"
 
 namespace predtop::core {
@@ -83,10 +81,10 @@ TEST(PackedGemm, ThreadedIsBitIdenticalToSingleThread) {
 }
 
 TEST(PackedGemm, WideTileIsBitIdenticalToNarrowTile) {
-  // The 12x16 single-vector tile and the historical 6x16 two-vector tile must
-  // agree bit-for-bit in every precision tier: each output lane accumulates in
-  // ascending-k order regardless of tile shape, and the compiled-program
-  // parity contract (<= 1e-6 vs the tape) depends on that.
+  // The 12x16 single-vector tile and the 6x16 two-vector tile must agree
+  // bit-for-bit: each output lane accumulates in ascending-k order regardless
+  // of tile shape, and the compiled-program parity contract (<= 1e-6 vs the
+  // tape) depends on that.
   const bool wide_before = tensor::GemmWideTiles();
   const struct { std::int64_t m, k, n; } shapes[] = {
       {1, 16, 16}, {6, 16, 16}, {7, 33, 16}, {12, 17, 40}, {13, 20, 100}, {61, 47, 129},
@@ -96,26 +94,14 @@ TEST(PackedGemm, WideTileIsBitIdenticalToNarrowTile) {
     const tensor::Tensor a = tensor::Tensor::Randn({s.m, s.k}, rng);
     const tensor::Tensor b = tensor::Tensor::Randn({s.k, s.n}, rng);
     const tensor::PackedB bp = tensor::PackB(b);
-    tensor::PackedB16 b16;
-    tensor::PackB16Into(b.data().data(), s.k, s.n, b16);
-    tensor::PackedB8 b8;
-    tensor::PackB8Into(b.data().data(), s.k, s.n, b8);
-    std::vector<float> wide_f(s.m * s.n), narrow_f(s.m * s.n);
-    std::vector<float> wide_16(s.m * s.n), narrow_16(s.m * s.n);
-    std::vector<float> wide_8(s.m * s.n), narrow_8(s.m * s.n);
+    std::vector<float> wide(s.m * s.n), narrow(s.m * s.n);
     tensor::SetGemmWideTiles(true);
-    tensor::MatMulPackedInto(a.data().data(), s.m, bp, wide_f.data());
-    tensor::MatMulPackedB16Into(a.data().data(), s.m, b16, wide_16.data());
-    tensor::MatMulPackedB8Into(a.data().data(), s.m, b8, wide_8.data());
+    tensor::MatMulPackedInto(a.data().data(), s.m, bp, wide.data());
     tensor::SetGemmWideTiles(false);
-    tensor::MatMulPackedInto(a.data().data(), s.m, bp, narrow_f.data());
-    tensor::MatMulPackedB16Into(a.data().data(), s.m, b16, narrow_16.data());
-    tensor::MatMulPackedB8Into(a.data().data(), s.m, b8, narrow_8.data());
+    tensor::MatMulPackedInto(a.data().data(), s.m, bp, narrow.data());
     tensor::SetGemmWideTiles(wide_before);
     for (std::int64_t i = 0; i < s.m * s.n; ++i) {
-      ASSERT_EQ(wide_f[i], narrow_f[i]) << "fp32 element " << i;
-      ASSERT_EQ(wide_16[i], narrow_16[i]) << "bf16 element " << i;
-      ASSERT_EQ(wide_8[i], narrow_8[i]) << "int8 element " << i;
+      ASSERT_EQ(wide[i], narrow[i]) << "element " << i;
     }
   }
 }
@@ -126,34 +112,6 @@ TEST(PackedGemm, DispatchPredicatesMatchDocumentedShapeFloor) {
   EXPECT_FALSE(tensor::UsePackedGemm(2, 64, 64));   // m below one row block
   EXPECT_FALSE(tensor::UsePackedGemm(16, 16, 16));  // under the work floor
   EXPECT_TRUE(tensor::UsePackedGemm(64, 64, 64));
-}
-
-// ---- arena ----
-
-TEST(Arena, AllocationsAreAlignedAndReset) {
-  tensor::Arena arena;
-  const tensor::MatRef a = arena.Alloc(3, 5);
-  const tensor::MatRef b = arena.AllocZeroed(2, 7);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data) % 64, 0u);
-  for (std::int64_t i = 0; i < b.rows * b.cols; ++i) EXPECT_EQ(b.data[i], 0.0f);
-  arena.Reset();
-  const tensor::MatRef c = arena.Alloc(3, 5);
-  EXPECT_EQ(c.data, a.data);  // bump pointer rewound
-}
-
-TEST(Arena, OverflowCoalescesOnReset) {
-  tensor::Arena arena;
-  const std::int64_t big = static_cast<std::int64_t>(arena.CapacityFloats()) + 1000;
-  (void)arena.AllocFloats(big);  // spills into a second block
-  (void)arena.AllocFloats(big);
-  const std::int64_t epoch = arena.EpochFloats();
-  EXPECT_GE(epoch, 2 * big);
-  arena.Reset();
-  EXPECT_EQ(arena.EpochFloats(), 0);
-  EXPECT_GE(arena.CapacityFloats(), epoch);  // one block now fits the epoch
-  (void)arena.AllocFloats(2 * big);          // no further growth needed
-  EXPECT_EQ(arena.EpochFloats(), 2 * big);
 }
 
 // ---- predictor parity ----
@@ -191,10 +149,10 @@ constexpr PredictorKind kAllKinds[] = {PredictorKind::kDagTransformer, Predictor
 
 void ExpectParity(StagePredictor& model, const graph::EncodedGraph& g) {
   const float tape = model.Forward(g).value().data()[0];
-  const float fast = model.InferScalar(g, nn::ThreadLocalInferenceContext());
-  ASSERT_TRUE(std::isfinite(fast)) << model.Name();
-  EXPECT_LE(std::abs(fast - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
-      << model.Name() << ": tape=" << tape << " fast=" << fast;
+  const float compiled = model.InferScalar(g);
+  ASSERT_TRUE(std::isfinite(compiled)) << model.Name();
+  EXPECT_LE(std::abs(compiled - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
+      << model.Name() << ": tape=" << tape << " compiled=" << compiled;
 }
 
 TEST(InferParity, FreshModelMatchesTape) {
@@ -222,9 +180,10 @@ TEST(InferParity, MatchesTapeAfterOptimizerStep) {
   const graph::EncodedGraph g = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
-    // Warm the packed-weight caches, then mutate the parameters: the epoch
-    // bump inside Adam::Step must invalidate every cached pack.
-    (void)model->InferScalar(g, nn::ThreadLocalInferenceContext());
+    // Warm the compiled program and its weight snapshot, then mutate the
+    // parameters: the epoch bump inside Adam::Step must invalidate every
+    // cached pack.
+    (void)model->InferScalar(g);
     const float before = model->Forward(g).value().data()[0];
     nn::Adam adam(*model);
     model->ZeroGrad();
@@ -243,14 +202,14 @@ TEST(InferParity, MatchesTapeAfterStateDictLoad) {
     auto source = MakePredictor(kind, options);
     options.seed = 0x999ULL;  // different init so the load visibly changes B
     auto target = MakePredictor(kind, options);
-    // Populate target's caches with its own (soon stale) weights first.
-    (void)target->InferScalar(g, nn::ThreadLocalInferenceContext());
+    // Populate target's snapshots with its own (soon stale) weights first.
+    (void)target->InferScalar(g);
     std::stringstream buffer;
     nn::WriteStateDict(buffer, *source);
     nn::ReadStateDict(buffer, *target);
     ExpectParity(*target, g);
     const float from_source = source->Forward(g).value().data()[0];
-    const float from_target = target->InferScalar(g, nn::ThreadLocalInferenceContext());
+    const float from_target = target->InferScalar(g);
     EXPECT_LE(std::abs(from_source - from_target),
               1e-6f * std::max(1.0f, std::abs(from_source)))
         << PredictorKindName(kind);
@@ -262,13 +221,13 @@ TEST(InferParity, RegressorFastPathMatchesTapePath) {
   for (const PredictorKind kind : kAllKinds) {
     LatencyRegressor regressor(kind, TinyOptions());
     const double tape = regressor.PredictSecondsTape(g);
-    const double fast = regressor.PredictSeconds(g);
-    EXPECT_LE(std::abs(fast - tape), 1e-6 * std::max(1.0, std::abs(tape)));
+    const double compiled = regressor.PredictSeconds(g);
+    EXPECT_LE(std::abs(compiled - tape), 1e-6 * std::max(1.0, std::abs(tape)));
     const std::vector<graph::EncodedGraph> graphs{g, g};
     const std::vector<double> batch = regressor.PredictBatch(graphs);
     ASSERT_EQ(batch.size(), 2u);
-    EXPECT_EQ(batch[0], fast);
-    EXPECT_EQ(batch[1], fast);
+    EXPECT_EQ(batch[0], compiled);
+    EXPECT_EQ(batch[1], compiled);
   }
 }
 
@@ -286,38 +245,41 @@ TEST(InferParity, EncodeGraphCachesFingerprint) {
 // ---- deferred softmax masked retry (regression) ----
 
 TEST(InferKernels, RowSoftmaxDeferredMaskedRetryHasNoNaN) {
-  nn::InferenceContext& ctx = nn::ThreadLocalInferenceContext();
-  ctx.BeginForward();
+  // tensor::fused::DeferredSoftmaxRowChunks is the deferred-normalization
+  // softmax of the fused attention kernel; it reads only the open-lane runs
+  // of the reachability mask.
   const float inf = std::numeric_limits<float>::infinity();
-  tensor::Tensor logits = tensor::Tensor::Zeros({3, 4});
-  tensor::Tensor mask = tensor::Tensor::Zeros({3, 4});
-  // Row 0: an overflowed +inf logit sits under a -inf mask lane. The shift
-  // max (taken over *unmasked* logits) is +inf, so every open lane's exp
-  // underflows to zero and the row takes the retry path; a retry that adds
-  // the mask to the logits turns this lane into inf + -inf = NaN.
-  logits.data()[0] = inf;
-  mask.data()[0] = -inf;
-  // Row 1: fully masked.
-  for (int j = 0; j < 4; ++j) mask.data()[4 + j] = -inf;
+  std::vector<float> logits(12, 0.0f);
+  // Row 0: an overflowed +inf logit sits under a masked lane (lane 0). A
+  // softmax that adds the -inf mask to it, or lets it set the exp shift,
+  // turns the row into NaN or all-zero weights.
+  logits[0] = inf;
+  const std::int32_t row0_runs[] = {1, 4};
+  // Row 1: fully masked (no open runs).
   // Row 2: ordinary open row.
-  for (int j = 0; j < 4; ++j) logits.data()[8 + j] = static_cast<float>(j);
-  const nn::infer::DeferredSoftmax soft =
-      nn::infer::RowSoftmaxDeferred(ctx, nn::infer::View(logits), &mask);
+  for (int j = 0; j < 4; ++j) logits[8 + j] = static_cast<float>(j);
+  const std::int32_t row2_runs[] = {0, 4};
+  std::vector<float> weights(12, -1.0f);
+  float inv_sum[3] = {-1.0f, -1.0f, -1.0f};
+  tensor::fused::DeferredSoftmaxRowChunks(logits.data(), weights.data(), 4, row0_runs, 1,
+                                          &inv_sum[0]);
+  tensor::fused::DeferredSoftmaxRowChunks(logits.data() + 4, weights.data() + 4, 4, nullptr,
+                                          0, &inv_sum[1]);
+  tensor::fused::DeferredSoftmaxRowChunks(logits.data() + 8, weights.data() + 8, 4, row2_runs,
+                                          1, &inv_sum[2]);
   for (std::int64_t i = 0; i < 12; ++i) {
-    ASSERT_TRUE(std::isfinite(soft.weights.data[i])) << "weight " << i;
+    ASSERT_TRUE(std::isfinite(weights[i])) << "weight " << i;
   }
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(std::isfinite(soft.inv_sum.data[i])) << "row " << i;
-  // Row 0 renormalizes over its three open lanes.
-  EXPECT_EQ(soft.weights.data[0], 0.0f);  // the masked lane contributes nothing
-  for (int j = 1; j < 4; ++j) {
-    EXPECT_FLOAT_EQ(soft.weights.data[j] * soft.inv_sum.data[0], 1.0f / 3.0f);
-  }
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(std::isfinite(inv_sum[i])) << "row " << i;
+  // Row 0 normalizes over its three open lanes.
+  EXPECT_EQ(weights[0], 0.0f);  // the masked lane contributes nothing
+  for (int j = 1; j < 4; ++j) EXPECT_FLOAT_EQ(weights[j] * inv_sum[0], 1.0f / 3.0f);
   // Row 1 is fully masked: all-zero weights with inv_sum exactly 0.
-  EXPECT_EQ(soft.inv_sum.data[1], 0.0f);
-  for (int j = 0; j < 4; ++j) EXPECT_EQ(soft.weights.data[4 + j], 0.0f);
+  EXPECT_EQ(inv_sum[1], 0.0f);
+  for (int j = 0; j < 4; ++j) EXPECT_EQ(weights[4 + j], 0.0f);
   // Row 2 behaves like an ordinary softmax row.
   float total = 0.0f;
-  for (int j = 0; j < 4; ++j) total += soft.weights.data[8 + j] * soft.inv_sum.data[2];
+  for (int j = 0; j < 4; ++j) total += weights[8 + j] * inv_sum[2];
   EXPECT_NEAR(total, 1.0f, 1e-6f);
 }
 
@@ -332,16 +294,15 @@ TEST(InferConcurrency, SharedModelConcurrentInferScalarIsStable) {
   auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
   std::vector<float> expected;
   for (const auto& g : graphs) {
-    expected.push_back(model->InferScalar(g, nn::ThreadLocalInferenceContext()));
+    expected.push_back(model->InferScalar(g));
   }
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
-      nn::InferenceContext ctx;  // one arena per thread, as in serving
       for (int iter = 0; iter < 25; ++iter) {
         const std::size_t i = static_cast<std::size_t>(t + iter) % graphs.size();
-        if (model->InferScalar(graphs[i], ctx) != expected[i]) {
+        if (model->InferScalar(graphs[i]) != expected[i]) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
       }

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "compile/cache.h"
-#include "nn/infer.h"
+#include "nn/module.h"
 #include "serve/online.h"
 #include "serve/service.h"
 
@@ -221,11 +221,11 @@ TEST(OnlineTrainer, DriftTriggersRefreshStableDoesNot) {
 }
 
 TEST(OnlineTrainer, HotSwapDoesNotLeakCompiledPrograms) {
-  // Regression for the hot-swap leak: compiled programs (and the packed /
-  // quantized weight snapshots they pin) are keyed by predictor instance, so
-  // every swapped-out model must evict its own entries on destruction. With
-  // compilation enabled, repeated registry swaps must keep the global
-  // program cache bounded by the *live* model's shape classes.
+  // Regression for the hot-swap leak: compiled programs (and the packed
+  // weight snapshots they pin) are keyed by predictor instance, so every
+  // swapped-out model must evict its own entries on destruction. Repeated
+  // registry swaps must keep the global program cache bounded by the *live*
+  // model's shape classes.
   auto& cache = compile::ProgramCache::Global();
   cache.Clear();
   auto registry = std::make_shared<ModelRegistry>();
