@@ -4,7 +4,8 @@
 #   ci/run.sh sanitize   additional ASan/UBSan build + ctest (build-asan/)
 #   ci/run.sh tsan       additional TSan build of the concurrency-sensitive
 #                        suites (thread pool, prediction service, plan
-#                        search, parallel backward engine, data-parallel
+#                        search and its parallel memo fill, mixed-shape batch
+#                        work lists, parallel backward engine, data-parallel
 #                        trainer, online refresh) run directly — the full
 #                        suite is too slow under TSan and the other suites
 #                        are single-threaded
@@ -34,8 +35,10 @@
 #                        inputs, planner properties, allocation-free warm
 #                        forwards and batches, batch-executor bit parity,
 #                        program-cache LRU and owner eviction, PredictMany
-#                        vs per-query Predict) plus the fast-path parity
-#                        suite, then the fig10 engine drill on both paper
+#                        vs per-query Predict), the fast-path parity suite,
+#                        the bit-packed DAGRA mask vs a DFS oracle and the
+#                        plan search's parallel memo fill vs standalone
+#                        encodings, then the fig10 engine drill on both paper
 #                        platforms with PREDTOP_AUTOTUNE=1 (batch-oracle plan
 #                        bit-equal to the per-query plan and matching a
 #                        tape-priced plan)
@@ -78,10 +81,14 @@ fi
 if [[ "${1:-}" == "engine" ]]; then
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
-    --target compile_test serve_test infer_test fig10_optimization
+    --target compile_test serve_test infer_test graph_test core_test fig10_optimization
   ./build-asan/tests/compile_test
   ./build-asan/tests/serve_test --gtest_filter='Service.*:ServingOracle.*'
   ./build-asan/tests/infer_test --gtest_filter='InferParity.*:PackedGemm.*'
+  # The bit-packed DAGRA mask against a DFS oracle, and the plan search's
+  # parallel memo fill against standalone encodings.
+  ./build-asan/tests/graph_test --gtest_filter='DagraMask.*:EncodeGraph.*'
+  ./build-asan/tests/core_test --gtest_filter='PlanSearch.ParallelMemoFillMatchesStandaloneEncoding'
   # Plan search on both paper platforms through the per-query oracle, the
   # batch oracle and a tape-priced oracle, with the runtime autotuner on:
   # batch == per-query to the bit, and batch matches the tape plan.
@@ -93,7 +100,7 @@ if [[ "${1:-}" == "tsan" ]]; then
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "$(nproc)" \
     --target util_test serve_test parallel_test infer_test cluster_test \
-    autograd_test nn_test online_test compile_test
+    autograd_test nn_test online_test compile_test graph_test core_test
   export TSAN_OPTIONS="halt_on_error=1"
   ./build-tsan/tests/util_test
   ./build-tsan/tests/parallel_test
@@ -103,7 +110,12 @@ if [[ "${1:-}" == "tsan" ]]; then
   ./build-tsan/tests/nn_test --gtest_filter='ParallelTrainer.*'
   # Background fine-tune thread hot-swapping checkpoints under live serving.
   ./build-tsan/tests/online_test
+  # PredictMany interleaves its misses' forwards on the service pool.
   ./build-tsan/tests/serve_test --gtest_filter='LruCache.*:Service.*:ServingOracle.PredictBatchMatchesScalarQueries:ThreadPool.*'
+  # The plan search's parallel memo fill (programs, then encodings, on a pool
+  # scoped to the call) and the bit-packed mask it builds.
+  ./build-tsan/tests/core_test --gtest_filter='PlanSearch.ParallelMemoFillMatchesStandaloneEncoding'
+  ./build-tsan/tests/graph_test --gtest_filter='DagraMask.*:EncodeGraph.*'
   # Concurrent compiled forwards on one shared model (per-thread plan
   # buffers, lazy packed-weight snapshots) plus the parity suites that drive
   # every kernel at least once under TSan.
@@ -111,8 +123,9 @@ if [[ "${1:-}" == "tsan" ]]; then
   # The program cache's build-once-per-shape race, per-thread plan buffers,
   # and the weight snapshots under simultaneous readers — single forwards
   # and batches.
+  # The mixed-shape work list on no pool, one worker and four.
   ./build-tsan/tests/compile_test \
-    --gtest_filter='CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTapeAndFastPath'
+    --gtest_filter='CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTapeAndFastPath:CompiledBatch.RegressorBatchMatchesSequentialAcrossShapes'
   # Router concurrency: the cluster-wide coalescing map, per-worker
   # connection locking and failover counters under concurrent clients, plus
   # the overload-protection suites (deadline shedding, admission budgets,

@@ -27,17 +27,30 @@ util::ThreadPool& SharedBatchPool() {
   return *pool;
 }
 
-/// Per-query FLOPs of the program's linear steps (2*m*k*n each) — the
-/// dominant cost, used by the kAuto crossover against the TuneTable.
-std::int64_t LinearFlops(const InferProgram& p) {
+/// Per-query GEMM FLOPs of the program (2*m*k*n each) — the dominant cost,
+/// used by the kAuto crossover against the TuneTable: the linear steps, plus
+/// each attention step's q k^T and weights * v products (2 * 2*n*n*dim over
+/// its heads) and, when fused, its q|k|v projection.
+std::int64_t GemmFlops(const InferProgram& p) {
   std::int64_t flops = 0;
+  const std::int64_t n = p.num_nodes;
   for (const Step& s : p.steps) {
-    if (s.kind != OpKind::kLinear && s.kind != OpKind::kLinearAct &&
-        s.kind != OpKind::kLinearResidualNorm) {
-      continue;
+    switch (s.kind) {
+      case OpKind::kLinear:
+      case OpKind::kLinearAct:
+      case OpKind::kLinearResidualNorm:
+        flops += 2 * p.values[static_cast<std::size_t>(s.out)].rows *
+                 s.linear->InFeatures() * s.linear->OutFeatures();
+        break;
+      case OpKind::kFusedAttention:
+        flops += 2 * n * s.attn->Dim() * 3 * s.attn->Dim();
+        [[fallthrough]];
+      case OpKind::kAttnHeads:
+        flops += 4 * n * n * s.attn->Dim();
+        break;
+      default:
+        break;
     }
-    const ValueInfo& ov = p.values[static_cast<std::size_t>(s.out)];
-    flops += 2 * ov.rows * s.linear->InFeatures() * s.linear->OutFeatures();
   }
   return flops;
 }
@@ -52,8 +65,8 @@ std::uint64_t InterleavedForwards() noexcept {
   return InterleavedCounter().load(std::memory_order_relaxed);
 }
 
-void ExecuteBatch(const InferProgram& p, const ExecInputs* in, std::size_t count,
-                  float* out, const BatchOptions& opts) {
+void ExecuteBatch(const InferProgram* const* programs, const ExecInputs* in,
+                  std::size_t count, float* out, const BatchOptions& opts) {
   if (count == 0) return;
   BatchMode mode = opts.mode;
   util::ThreadPool* pool = opts.pool;
@@ -61,21 +74,24 @@ void ExecuteBatch(const InferProgram& p, const ExecInputs* in, std::size_t count
     const TuneTable& tune = ResolvedTuneTable();
     const std::size_t threads =
         pool != nullptr ? pool->ThreadCount() + 1 : tensor::GemmThreads();
-    // Interleave only when there are cores to spread across AND each forward
-    // is heavy enough to amortize its task dispatch.
+    // Interleave only when there are cores to spread across AND the average
+    // forward is heavy enough to amortize its task dispatch.
+    std::int64_t flops = 0;
+    for (std::size_t q = 0; q < count; ++q) flops += GemmFlops(*programs[q]);
     mode = (threads > 1 && static_cast<std::int64_t>(count) >= tune.interleave_min_batch &&
-            LinearFlops(p) >= tune.interleave_min_flops)
+            flops / static_cast<std::int64_t>(count) >= tune.interleave_min_flops)
                ? BatchMode::kInterleaved
                : BatchMode::kSequential;
   }
 
   if (mode == BatchMode::kInterleaved) {
-    (pool != nullptr ? *pool : SharedBatchPool())
-        .ParallelFor(count, [&](std::size_t q) { Execute(p, in[q], &out[q]); });
+    (pool != nullptr ? *pool : SharedBatchPool()).ParallelFor(count, [&](std::size_t q) {
+      Execute(*programs[q], in[q], &out[q]);
+    });
     InterleavedCounter().fetch_add(count, std::memory_order_relaxed);
     return;
   }
-  for (std::size_t q = 0; q < count; ++q) Execute(p, in[q], &out[q]);
+  for (std::size_t q = 0; q < count; ++q) Execute(*programs[q], in[q], &out[q]);
   SequentialCounter().fetch_add(count, std::memory_order_relaxed);
 }
 

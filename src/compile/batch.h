@@ -1,14 +1,16 @@
 #pragma once
-// Batch-level compiled execution. ExecuteBatch runs a same-shape query set
-// through one InferProgram in one of two ways:
+// Batch-level compiled execution. ExecuteBatch runs a work list of queries,
+// each with its own InferProgram (one per shape class, so a list may mix
+// shapes), in one of two ways:
 //
 //  - kSequential: a plain Execute loop on the calling thread (one plan
 //    buffer, one weight snapshot check per query);
-//  - kInterleaved: independent sequential forwards fanned across a worker
-//    pool, one per query, each on its worker's own plan buffer.
+//  - kInterleaved: the whole list as one flat ParallelFor over a worker
+//    pool, one independent sequential forward per query, each on its
+//    worker's own plan buffer.
 //
-// Both are bit-identical to `count` Execute calls — interleaving just runs
-// the sequential executor on other threads. kAuto interleaves when the
+// Both are bit-identical to one Execute call per query — interleaving just
+// runs the sequential executor on other threads. kAuto interleaves when the
 // runtime TuneTable's crossover says the pool pays for itself (see tune.h).
 
 #include <cstddef>
@@ -35,16 +37,16 @@ struct BatchOptions {
   util::ThreadPool* pool = nullptr;
 };
 
-/// Run `count` same-shape queries through `p`; `out` receives one scalar per
-/// query. Throws std::invalid_argument when an input does not match the
-/// program (see Execute). Results are bit-identical to `count` sequential
-/// Execute calls.
-void ExecuteBatch(const InferProgram& p, const ExecInputs* in, std::size_t count,
-                  float* out, const BatchOptions& opts = {});
+/// Run `count` queries, query q through programs[q] on in[q]; `out`
+/// receives one scalar per query. Throws std::invalid_argument when an input
+/// does not match its program (see Execute). Results are bit-identical to
+/// `count` sequential Execute calls.
+void ExecuteBatch(const InferProgram* const* programs, const ExecInputs* in,
+                  std::size_t count, float* out, const BatchOptions& opts = {});
 
-/// Process-wide counters: queries ExecuteBatch ran sequentially on the
-/// calling thread / interleaved across a pool. Surfaced via ServiceStats and
-/// the cluster StatsBody.
+/// Process-wide counters: queries ExecuteBatch ran on the calling thread
+/// (kSequential) / across a pool (kInterleaved). Surfaced via ServiceStats
+/// and the cluster StatsBody.
 [[nodiscard]] std::uint64_t BatchedForwards() noexcept;
 [[nodiscard]] std::uint64_t InterleavedForwards() noexcept;
 

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "compile/program.h"
+#include "graph/reachability.h"
 #include "tensor/fused.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -96,8 +98,8 @@ void CheckInputs(const InferProgram& p, const ExecInputs& in) {
   for (const ValueInfo& v : p.values) {
     if (v.external == External::kDepthPe) wants_pe = true;
   }
-  if (wants_mask && (in.mask == nullptr || in.mask->rank() != 2 ||
-                     in.mask->dim(0) != p.num_nodes || in.mask->dim(1) != p.num_nodes)) {
+  if (wants_mask && static_cast<std::int64_t>(in.mask.size()) !=
+                        p.num_nodes * graph::MaskWords(p.num_nodes)) {
     reject("missing or misshapen attention mask");
   }
   if (wants_pe && in.pe == nullptr) reject("missing depth encoding");
@@ -154,6 +156,21 @@ void LinearGemm(const Step& s, const std::shared_ptr<const nn::Linear::InferWeig
   return b != nullptr ? b->value().data().data() : nullptr;
 }
 
+/// First lane in [j, n) whose mask bit equals `set` (n when none): a word
+/// scan with count-trailing-zeros. Padding bits past n are zero, so a search
+/// for a clear bit stops at n by itself.
+std::int64_t NextLane(const std::uint64_t* row, std::int64_t words, std::int64_t n,
+                      std::int64_t j, bool set) noexcept {
+  if (j >= n) return n;
+  std::int64_t w = j / 64;
+  std::uint64_t x = (set ? row[w] : ~row[w]) & (~0ULL << (j % 64));
+  while (x == 0) {
+    if (++w == words) return n;
+    x = set ? row[w] : ~row[w];
+  }
+  return std::min(n, w * 64 + std::countr_zero(x));
+}
+
 /// Scan in.mask (or synthesize full windows when the program's attention is
 /// unmasked) into `state`. Warm calls reuse the vectors' capacity.
 void BuildMaskRuns(const InferProgram& p, const ExecInputs& in, MaskRuns& state) {
@@ -169,16 +186,14 @@ void BuildMaskRuns(const InferProgram& p, const ExecInputs& in, MaskRuns& state)
   state.chunk_start.resize(static_cast<std::size_t>(n) + 1);
   state.chunk_bounds.clear();
   state.chunk_start[0] = 0;
-  if (wants_mask && in.mask != nullptr) {
-    const float* m = in.mask->data().data();
+  if (wants_mask && !in.mask.empty()) {
+    const std::int64_t words = graph::MaskWords(n);
     for (std::int64_t i = 0; i < n; ++i) {
-      const float* mrow = m + i * n;
-      std::int64_t j = 0;
-      while (j < n) {
-        while (j < n && mrow[j] < kNegInfCut) ++j;
-        if (j >= n) break;
+      const std::uint64_t* mrow = in.mask.data() + i * words;
+      for (std::int64_t j = NextLane(mrow, words, n, 0, true); j < n;
+           j = NextLane(mrow, words, n, j, true)) {
         const std::int64_t lo = j;
-        while (j < n && mrow[j] >= kNegInfCut) ++j;
+        j = NextLane(mrow, words, n, j, false);
         state.chunk_bounds.push_back(static_cast<std::int32_t>(lo));
         state.chunk_bounds.push_back(static_cast<std::int32_t>(j));
       }
@@ -350,15 +365,16 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
   const std::int64_t n = p.num_nodes;
   const std::int64_t d = at.Dim();
   const std::int64_t hd = at.HeadDim();
-  const float* mask =
-      (s.use_mask && in.mask != nullptr) ? in.mask->data().data() : nullptr;
+  const std::uint64_t* mask = s.use_mask && !in.mask.empty() ? in.mask.data() : nullptr;
+  const std::int64_t mask_words = graph::MaskWords(n);
 
   float* qh = scratch;
   float* kh = qh + n * hd;
   float* vh = kh + n * hd;
   float* logits = vh + n * hd;
   float* tmp = logits + n * n;  // softmax row; transposes for naive/narrow tiers
-  float* packbuf = tmp + n * hd;
+  float* mask_row = tmp + n * hd;  // one mask row expanded to additive floats
+  float* packbuf = mask_row + n;
   for (std::int64_t h = 0; h < at.Heads(); ++h) {
     const std::int64_t off = h * hd;
     for (std::int64_t i = 0; i < n; ++i) {
@@ -400,7 +416,11 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
     // normalized back in the logits row).
     for (std::int64_t i = 0; i < n; ++i) {
       float* lrow = logits + i * n;
-      const float* mrow = mask != nullptr ? mask + i * n : nullptr;
+      const float* mrow = nullptr;
+      if (mask != nullptr) {
+        graph::ExpandMaskRow(mask + i * mask_words, n, mask_row);
+        mrow = mask_row;
+      }
       const float maxv = tensor::simd::MaskedRowMax(lrow, mrow, n);
       if (maxv < kNegInfCut) {  // fully masked row
         std::fill(lrow, lrow + n, 0.0f);

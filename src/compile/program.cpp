@@ -38,12 +38,13 @@ namespace {
     }
     case OpKind::kAttnHeads: {
       // Per-head q/k/v slices, the (n, n) logits, a transpose temp for the
-      // non-packed tiers, and the pack buffer for the packed tiers.
+      // non-packed tiers, one expanded mask row, and the pack buffer for the
+      // packed tiers.
       const std::int64_t n = p.num_nodes;
       const std::int64_t hd = s.attn->HeadDim();
       const std::int64_t pack = std::max(tensor::PackedBFloats(hd, n),
                                          tensor::PackedBFloats(n, hd));
-      return 4 * n * hd + n * n + pack;
+      return 4 * n * hd + n * n + n + pack;
     }
     case OpKind::kSegmentSoftmax:
       // Per-segment max and denominator accumulators.

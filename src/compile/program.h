@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "graph/encode.h"
@@ -111,8 +112,10 @@ struct Step {
 /// owns the program (it knows its ablation flags and per-graph caches).
 struct ExecInputs {
   const graph::EncodedGraph* g = nullptr;
-  const tensor::Tensor* mask = nullptr;  // additive (n, n) reachability mask
-  const float* pe = nullptr;             // depth positional encoding rows
+  /// Bit-packed reachability mask, n rows of graph::MaskWords(n) words
+  /// (EncodedGraph::dagra_mask); empty = unmasked attention.
+  std::span<const std::uint64_t> mask;
+  const float* pe = nullptr;  // depth positional encoding rows
 };
 
 class InferProgram {

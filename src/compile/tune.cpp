@@ -94,7 +94,7 @@ void Measure(TuneTable& t) {
     t.par_min_elems = std::clamp<std::int64_t>(
         static_cast<std::int64_t>(dispatch_ns * macs_per_ns * 8.0), 1l << 18, 1l << 26);
     // Interleaving pays one task dispatch per query; require the per-query
-    // linear FLOPs (2 * MACs) to be >= 8x that dispatch.
+    // GEMM FLOPs (2 * MACs) to be >= 8x that dispatch.
     t.interleave_min_flops = std::clamp<std::int64_t>(
         static_cast<std::int64_t>(dispatch_ns * macs_per_ns * 2.0 * 8.0), 1l << 18,
         1l << 28);

@@ -24,11 +24,12 @@ struct TuneTable {
   /// m*k*n at which the packed GEMM fans row panels across the shared pool
   /// (mirrors PREDTOP_GEMM_PAR_MIN_ELEMS).
   std::int64_t par_min_elems = 4l << 20;
-  /// Minimum same-shape batch size at which ExecuteBatch prefers
+  /// Minimum batch size at which ExecuteBatch prefers
   /// interleaving independent forwards over a sequential loop.
   std::int64_t interleave_min_batch = 2;
-  /// Minimum per-query linear-step FLOPs for interleaving: below this a
-  /// forward is too small to amortize one pool task dispatch.
+  /// Minimum mean per-query GEMM FLOPs (linear steps plus attention
+  /// products) for interleaving: below this a forward is too small to
+  /// amortize one pool task dispatch.
   std::int64_t interleave_min_flops = 1l << 22;
   /// True when the timing sweep ran (vs env/default resolution).
   bool autotuned = false;

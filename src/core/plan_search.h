@@ -90,7 +90,13 @@ class PlanSearch {
   [[nodiscard]] std::int32_t EffectiveMaxSpan() const noexcept;
 
   /// Stage program / encoded predictor input of a slice (memoized — shared
-  /// by the plan-search oracles and the serving integration).
+  /// by the plan-search oracles and the serving integration). The first
+  /// miss within the max span fills the whole memo — every slice of
+  /// ir::EnumerateStageSlices(num_layers, EffectiveMaxSpan()), exactly the
+  /// set the DP's batch oracle asks for — in one ParallelFor over a pool
+  /// scoped to that call; results move into the memo on the calling thread.
+  /// The encoding fill runs after, and separately from, the program fill.
+  /// Slices beyond the max span stay lazy. Not thread-safe.
   [[nodiscard]] const ir::StageProgram& ProgramFor(ir::StageSlice slice);
   [[nodiscard]] const graph::EncodedGraph& EncodedFor(ir::StageSlice slice);
 
@@ -101,6 +107,12 @@ class PlanSearch {
   [[nodiscard]] PlanSearchResult RunProfiling(PlanApproach approach);
   [[nodiscard]] PlanSearchResult RunPredTop(PlanApproach approach);
 
+  /// Build every missing in-span slice of `memo` with make(slice) in
+  /// parallel, then insert them on the calling thread.
+  template <typename T, typename Make>
+  void FillInParallel(std::map<std::pair<std::int32_t, std::int32_t>, T>& memo,
+                      const Make& make);
+
   BenchmarkModel benchmark_;
   sim::ClusterSpec cluster_;
   PlanSearchConfig config_;
@@ -108,6 +120,8 @@ class PlanSearch {
   std::vector<std::unique_ptr<parallel::IntraOpCompiler>> compilers_;  // per mesh
   std::map<std::pair<std::int32_t, std::int32_t>, ir::StageProgram> program_cache_;
   std::map<std::pair<std::int32_t, std::int32_t>, graph::EncodedGraph> encoded_cache_;
+  bool programs_filled_ = false;
+  bool encoded_filled_ = false;
   /// (slice key, mesh index) -> true latency result.
   std::map<std::tuple<std::int32_t, std::int32_t, std::int32_t>, parallel::StageLatencyResult>
       truth_cache_;

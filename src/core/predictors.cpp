@@ -5,8 +5,10 @@
 #include <ostream>
 #include <stdexcept>
 
+#include <map>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "autograd/functions.h"
 #include "fault/status.h"
@@ -63,13 +65,22 @@ void StagePredictor::InferScalarBatch(const graph::EncodedGraph* const* graphs,
                                       std::size_t count, float* out,
                                       const compile::BatchOptions& opts) {
   if (count == 0) return;
-  const auto program = CachedProgram(*graphs[0]);
+  // One program per shape class, resolved here on the calling thread so the
+  // work list never builds the same program twice.
+  std::map<std::pair<std::int64_t, std::int64_t>, std::shared_ptr<compile::InferProgram>>
+      by_shape;
+  std::vector<const compile::InferProgram*> programs(count);
   std::vector<compile::ExecInputs> inputs(count);
   std::vector<std::shared_ptr<const tensor::Tensor>> keepalive(count);
   for (std::size_t i = 0; i < count; ++i) {
-    FillExecInputs(*graphs[i], inputs[i], keepalive[i]);
+    const graph::EncodedGraph& g = *graphs[i];
+    auto& program =
+        by_shape[{g.num_nodes, static_cast<std::int64_t>(g.edge_src.size())}];
+    if (!program) program = CachedProgram(g);
+    programs[i] = program.get();
+    FillExecInputs(g, inputs[i], keepalive[i]);
   }
-  compile::ExecuteBatch(*program, inputs.data(), count, out, opts);
+  compile::ExecuteBatch(programs.data(), inputs.data(), count, out, opts);
 }
 
 const char* PredictorKindName(PredictorKind kind) noexcept {
@@ -111,13 +122,12 @@ class DagTransformerPredictor final : public StagePredictor {
       const tensor::Tensor pe = graph::SinusoidalEncoding(g.depths, options_.dagt_dim);
       h = autograd::Add(h, Variable(pe));
     }
-    const tensor::Tensor* mask = &g.dagra_mask;
-    tensor::Tensor full_mask;
-    if (!options_.use_dagra) {  // ablation: unrestricted attention
-      full_mask = graph::BuildFullAttentionMask(g.num_nodes);
-      mask = &full_mask;
-    }
-    for (const auto& layer : layers_) h = layer->Forward(h, *mask);
+    // The additive mask is expanded from its bits once per forward and shared
+    // by every layer; the ablation attends everywhere.
+    const tensor::Tensor mask = options_.use_dagra
+                                    ? graph::ExpandMask(g.dagra_mask, g.num_nodes)
+                                    : graph::BuildFullAttentionMask(g.num_nodes);
+    for (const auto& layer : layers_) h = layer->Forward(h, mask);
     // Raw-feature sums grow with node count and log-dim magnitude; scale
     // them to O(1) so they do not swamp Adam's updates.
     const std::vector<Variable> pooled{
@@ -176,7 +186,7 @@ class DagTransformerPredictor final : public StagePredictor {
                       std::shared_ptr<const tensor::Tensor>& keepalive) override {
     inputs = compile::ExecInputs{};
     inputs.g = &g;
-    if (options_.use_dagra) inputs.mask = &g.dagra_mask;
+    if (options_.use_dagra) inputs.mask = g.dagra_mask;
     if (options_.use_dagpe) {
       keepalive = CachedDepthEncoding(g);
       inputs.pe = keepalive->data().data();

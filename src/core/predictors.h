@@ -65,10 +65,11 @@ class StagePredictor : public nn::Module {
   /// concurrently with parameter mutation.
   [[nodiscard]] float InferScalar(const graph::EncodedGraph& g);
 
-  /// Compiled batch prediction: run `count` graphs of ONE shape class (same
-  /// (num_nodes, num_edges) — the caller groups) through this instance's
-  /// program for that shape, writing one normalized scalar per graph.
-  /// Results are bit-identical to `count` InferScalar calls.
+  /// Compiled batch prediction: run `count` graphs of any mix of shape
+  /// classes as one compile::ExecuteBatch work list, each through this
+  /// instance's program for its shape (resolved once per shape on the
+  /// calling thread), writing one normalized scalar per graph. Results are
+  /// bit-identical to `count` InferScalar calls.
   void InferScalarBatch(const graph::EncodedGraph* const* graphs, std::size_t count,
                         float* out, const compile::BatchOptions& opts = {});
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -225,36 +224,22 @@ double LatencyRegressor::PredictSecondsTape(const graph::EncodedGraph& g) {
   return ClampLatency(Denormalize(pred.value().data()[0]));
 }
 
-std::vector<double> LatencyRegressor::PredictBatch(std::span<const graph::EncodedGraph> graphs) {
+std::vector<double> LatencyRegressor::PredictBatch(std::span<const graph::EncodedGraph> graphs,
+                                                   util::ThreadPool* pool) {
   std::vector<const graph::EncodedGraph*> ptrs;
   ptrs.reserve(graphs.size());
   for (const graph::EncodedGraph& g : graphs) ptrs.push_back(&g);
-  return PredictBatch(std::span<const graph::EncodedGraph* const>(ptrs));
+  return PredictBatch(std::span<const graph::EncodedGraph* const>(ptrs), pool);
 }
 
 std::vector<double> LatencyRegressor::PredictBatch(
-    std::span<const graph::EncodedGraph* const> graphs) {
-  // Group by shape class — one compiled program serves one (nodes, edges)
-  // pair — preserving arrival order within each group.
-  std::map<std::pair<std::int64_t, std::int64_t>, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    groups[{graphs[i]->num_nodes,
-            static_cast<std::int64_t>(graphs[i]->edge_src.size())}]
-        .push_back(i);
-  }
-
+    std::span<const graph::EncodedGraph* const> graphs, util::ThreadPool* pool) {
+  std::vector<float> preds(graphs.size(), 0.0f);
+  compile::BatchOptions opts;
+  opts.pool = pool;
+  model_->InferScalarBatch(graphs.data(), graphs.size(), preds.data(), opts);
   std::vector<double> out(graphs.size(), 0.0);
-  std::vector<const graph::EncodedGraph*> members;
-  std::vector<float> preds;
-  for (const auto& [shape, indices] : groups) {
-    members.clear();
-    for (const std::size_t i : indices) members.push_back(graphs[i]);
-    preds.assign(indices.size(), 0.0f);
-    model_->InferScalarBatch(members.data(), members.size(), preds.data());
-    for (std::size_t j = 0; j < indices.size(); ++j) {
-      out[indices[j]] = ClampLatency(Denormalize(preds[j]));
-    }
-  }
+  for (std::size_t i = 0; i < graphs.size(); ++i) out[i] = ClampLatency(Denormalize(preds[i]));
   return out;
 }
 

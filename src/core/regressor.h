@@ -41,15 +41,17 @@ class LatencyRegressor {
   /// relative of PredictSeconds.
   [[nodiscard]] double PredictSecondsTape(const graph::EncodedGraph& g);
 
-  /// Predictions for a batch of graphs. Groups the batch by shape class
-  /// ((num_nodes, num_edges)) and runs each same-shape group through the
-  /// compiled batch executor (see compile::ExecuteBatch). Results are
-  /// bit-identical to calling PredictSeconds per graph.
-  [[nodiscard]] std::vector<double> PredictBatch(std::span<const graph::EncodedGraph> graphs);
+  /// Predictions for a batch of graphs of any mix of shape classes, run as
+  /// one compiled work list (see StagePredictor::InferScalarBatch and
+  /// compile::ExecuteBatch) that interleaves on `pool` — or, when null, on
+  /// the compile layer's shared batch pool. Results are bit-identical to
+  /// calling PredictSeconds per graph.
+  [[nodiscard]] std::vector<double> PredictBatch(std::span<const graph::EncodedGraph> graphs,
+                                                 util::ThreadPool* pool = nullptr);
   /// Pointer-span overload (predtop::serve batches deduplicated queries that
   /// are not contiguous in memory).
   [[nodiscard]] std::vector<double> PredictBatch(
-      std::span<const graph::EncodedGraph* const> graphs);
+      std::span<const graph::EncodedGraph* const> graphs, util::ThreadPool* pool = nullptr);
 
   /// Mean relative error (%) vs the samples' true latencies (paper Eqn. 5).
   [[nodiscard]] double MrePercent(const StageDataset& dataset,

@@ -41,7 +41,7 @@ EncodedGraph EncodeGraph(const OpDag& dag, std::int32_t num_op_types, std::int32
   EncodedGraph out;
   out.num_nodes = dag.NumNodes();
   out.features = EncodeNodeFeatures(dag, num_op_types, num_dtypes);
-  out.dagra_mask = BuildDagraMask(dag);
+  out.dagra_mask = BuildDagraBits(dag);
   out.depths = NodeDepths(dag);
 
   // GCN: Â = D^{-1/2} (A_undirected + I) D^{-1/2}.

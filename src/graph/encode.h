@@ -2,7 +2,8 @@
 // Turns an OpDag into the numeric inputs consumed by the predictor models:
 //  - node feature matrix per paper Tbl. I (op-type one-hot, log-scaled
 //    output dims, dtype one-hot, node-kind one-hot),
-//  - DAGRA reachability mask and DAGPE depths for the DAG Transformer,
+//  - bit-packed DAGRA reachability mask and DAGPE depths for the DAG
+//    Transformer,
 //  - symmetrically normalized adjacency (CSR, with transpose) for GCN,
 //  - bidirectional edge list with self-loops for GAT.
 
@@ -32,7 +33,12 @@ namespace predtop::graph {
 struct EncodedGraph {
   std::int64_t num_nodes = 0;
   tensor::Tensor features;    // (n, F)
-  tensor::Tensor dagra_mask;  // (n, n) additive, 0 / -inf
+  /// DAGRA mask bits: n rows of MaskWords(n) uint64 words, bit v of row u
+  /// set iff u may attend to v (graph::BuildDagraBits) — n^2/8 bytes where
+  /// the additive float form would take 4n^2. Consumers expand it:
+  /// graph::ExpandMask for the tape, one row at a time for the compiled
+  /// engine.
+  std::vector<std::uint64_t> dagra_mask;
   std::vector<std::int32_t> depths;
   std::shared_ptr<const tensor::Csr> adj_norm;    // Â (GCN)
   std::shared_ptr<const tensor::Csr> adj_norm_t;  // Â^T

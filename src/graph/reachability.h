@@ -12,6 +12,9 @@
 
 namespace predtop::graph {
 
+/// Words per row of an n-node bit matrix (one bit per column).
+[[nodiscard]] constexpr std::int64_t MaskWords(std::int64_t n) noexcept { return (n + 63) / 64; }
+
 /// Row-major bitset: bit v of row u set iff u reaches v via >= 0 edges
 /// (every node reaches itself).
 class ReachabilityClosure {
@@ -23,6 +26,10 @@ class ReachabilityClosure {
     return (rows_[static_cast<std::size_t>(u) * words_ + bit / 64] >> (bit % 64)) & 1ULL;
   }
   [[nodiscard]] std::int64_t NumNodes() const noexcept { return n_; }
+  /// Row u as MaskWords(n) words (bit v set iff u reaches v).
+  [[nodiscard]] const std::uint64_t* Row(std::int32_t u) const noexcept {
+    return rows_.data() + static_cast<std::size_t>(u) * words_;
+  }
 
   /// Number of ordered reachable pairs, including self-pairs.
   [[nodiscard]] std::int64_t CountReachablePairs() const noexcept;
@@ -33,10 +40,20 @@ class ReachabilityClosure {
   std::vector<std::uint64_t> rows_;
 };
 
-/// Additive attention mask (n, n): 0 where u and v are mutually relevant
-/// (path between them in either direction, or u == v), -inf otherwise
-/// (paper Eqn. 1 with the neighborhood range k = infinity).
-[[nodiscard]] tensor::Tensor BuildDagraMask(const OpDag& dag);
+/// DAGRA attention mask (paper Eqn. 1 with the neighborhood range k =
+/// infinity), bit-packed: n rows of MaskWords(n) words, bit v of row u set
+/// iff u and v are mutually relevant (a path between them in either
+/// direction, or u == v). Built as R | R^T from the closure rows, 64x64 bit
+/// blocks at a time; padding bits past n are zero.
+[[nodiscard]] std::vector<std::uint64_t> BuildDagraBits(const OpDag& dag);
+
+/// One bit-mask row as additive attention floats: out[v] = 0 where bit v is
+/// set, -inf elsewhere, for v in [0, n).
+void ExpandMaskRow(const std::uint64_t* row, std::int64_t n, float* out) noexcept;
+
+/// A whole n-node bit mask as the additive (n, n) tensor the autograd tape
+/// consumes.
+[[nodiscard]] tensor::Tensor ExpandMask(const std::vector<std::uint64_t>& bits, std::int64_t n);
 
 /// Ablation helper: an all-zero mask of matching shape (full attention).
 [[nodiscard]] tensor::Tensor BuildFullAttentionMask(std::int64_t num_nodes);

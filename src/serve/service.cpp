@@ -142,8 +142,8 @@ std::vector<double> PredictionService::PredictMany(
     if (first_of.emplace(cache_keys[i], distinct.size()).second) distinct.push_back(i);
   }
 
-  // All owned misses run through ONE PredictBatch call, which groups by
-  // shape class and resolves program, snapshot and plan once per group.
+  // All owned misses run through ONE PredictBatch call: one work list over
+  // the service pool, with one program resolved per shape class.
   std::vector<double> distinct_values(distinct.size(), 0.0);
   PredictDistinctBatched(key, graphs, cache_keys, distinct, distinct_values, deadline_us);
 
@@ -227,7 +227,7 @@ void PredictionService::PredictDistinctBatched(
       miss_graphs.reserve(owned.size());
       for (const OwnedMiss& o : owned) miss_graphs.push_back(graphs[o.i]);
       const std::vector<double> values =
-          model->PredictBatch(std::span<const graph::EncodedGraph* const>(miss_graphs));
+          model->PredictBatch(std::span<const graph::EncodedGraph* const>(miss_graphs), &pool_);
       forwards_.fetch_add(owned.size(), std::memory_order_relaxed);
 
       auto& injector = fault::Injector::Global();

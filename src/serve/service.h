@@ -19,8 +19,8 @@
 //
 // PredictMany additionally batches a caller-provided query set: duplicates
 // inside the batch collapse to one forward each, and the distinct misses run
-// through one LatencyRegressor::PredictBatch call, which groups them by
-// shape class and interleaves a group across cores when the compile layer's
+// through one LatencyRegressor::PredictBatch call — one work list of every
+// shape class, interleaved across the service pool when the compile layer's
 // TuneTable crossover says it pays (compile::ExecuteBatch). Failures
 // propagate to every waiter (never swallowed). The inter-op plan search
 // feeds its whole stage-latency table through this path via
@@ -47,8 +47,8 @@ struct ServiceOptions {
   std::size_t cache_capacity = 1 << 16;
   std::size_t cache_shards = 8;
   /// Threads of the service pool (0 = hardware_concurrency), exposed through
-  /// Pool(). PredictMany does not fan out on it: its misses run through the
-  /// compiled batch executor.
+  /// Pool(): PredictMany interleaves its misses' forwards on it (the calling
+  /// thread works too).
   std::size_t threads = 1;
   /// Shed headroom for deadline-carrying queries: a forward is skipped (and
   /// the query fails typed kDeadlineExceeded) unless at least this many

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -554,21 +555,48 @@ TEST(CompiledBatch, AutoModeCountsEveryQuery) {
 }
 
 TEST(CompiledBatch, RegressorBatchMatchesSequentialAcrossShapes) {
-  // Three shape classes, interleaved and with same-shape duplicates: the
-  // regressor must split per shape, run each group batched, and scatter the
-  // results back in caller order.
-  std::vector<graph::EncodedGraph> graphs{TinyEncodedStage(0, 1), TinyEncodedStage(1, 2),
-                                          TinyEncodedStage(0, 3), TinyEncodedStage(1, 2),
-                                          TinyEncodedStage(0, 1), TinyEncodedStage(1, 2)};
+  // Five shape classes, interleaved and with same-shape duplicates, run as
+  // one mixed-shape work list: every query must come back bit-equal to its
+  // own forward, in caller order, whichever mode and pool runs the list.
+  std::vector<graph::EncodedGraph> graphs{
+      TinyEncodedStage(0, 1), TinyEncodedStage(1, 2), TinyEncodedStage(0, 3),
+      TinyEncodedStage(1, 2), TinyEncodedStage(2, 4), TinyEncodedStage(0, 1),
+      TinyEncodedStage(0, 4), TinyEncodedStage(1, 2), TinyEncodedStage(2, 4)};
+  std::vector<const graph::EncodedGraph*> ptrs;
+  for (const auto& g : graphs) ptrs.push_back(&g);
+  util::ThreadPool one(1);
+  util::ThreadPool four(4);
   for (const PredictorKind kind : kAllKinds) {
     LatencyRegressor regressor(kind, TinyOptions());
+    StagePredictor& model = regressor.Model();
     std::vector<double> expected;
-    for (const auto& g : graphs) expected.push_back(regressor.PredictSeconds(g));
-    const std::vector<double> batched =
-        regressor.PredictBatch(std::span<const graph::EncodedGraph>(graphs));
-    ASSERT_EQ(batched.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(batched[i], expected[i]) << regressor.Model().Name() << " i=" << i;
+    std::vector<float> expected_scalar;
+    for (const auto& g : graphs) {
+      expected.push_back(regressor.PredictSeconds(g));
+      expected_scalar.push_back(model.InferScalar(g));
+    }
+    for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &one, &four}) {
+      // Pool size 0 stands for the compile layer's shared pool.
+      const std::string where =
+          model.Name() + " pool=" + std::to_string(pool != nullptr ? pool->ThreadCount() : 0);
+      const std::vector<double> batched =
+          regressor.PredictBatch(std::span<const graph::EncodedGraph>(graphs), pool);
+      ASSERT_EQ(batched.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(batched[i], expected[i]) << where << " auto i=" << i;
+      }
+      for (const compile::BatchMode mode :
+           {compile::BatchMode::kSequential, compile::BatchMode::kInterleaved}) {
+        compile::BatchOptions opts;
+        opts.mode = mode;
+        opts.pool = pool;
+        std::vector<float> out(graphs.size(), -1.0f);
+        model.InferScalarBatch(ptrs.data(), ptrs.size(), out.data(), opts);
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          EXPECT_EQ(out[i], expected_scalar[i])
+              << where << " mode=" << static_cast<int>(mode) << " i=" << i;
+        }
+      }
     }
   }
 }

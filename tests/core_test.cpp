@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "core/dataset.h"
 #include "core/greybox.h"
 #include "core/plan_search.h"
 #include "core/predictors.h"
 #include "core/regressor.h"
+#include "ir/printer.h"
+#include "ir/stages.h"
 
 namespace predtop::core {
 namespace {
@@ -279,6 +284,72 @@ TEST(PlanSearch, PartialProfilingIsCheaperThanFull) {
   EXPECT_LT(partial.optimization_cost_s, full.optimization_cost_s);
   // Heuristic pruning can only degrade (or match) the plan.
   EXPECT_GE(partial.plan_true_latency_s, full.plan_true_latency_s - 1e-9);
+}
+
+/// Byte-for-byte equality of two CSR matrices.
+void ExpectSameCsr(const tensor::Csr& a, const tensor::Csr& b, const std::string& what) {
+  EXPECT_EQ(a.rows, b.rows) << what;
+  EXPECT_EQ(a.cols, b.cols) << what;
+  EXPECT_EQ(a.row_ptr, b.row_ptr) << what;
+  EXPECT_EQ(a.col_idx, b.col_idx) << what;
+  ASSERT_EQ(a.values.size(), b.values.size()) << what;
+  EXPECT_EQ(std::memcmp(a.values.data(), b.values.data(), a.values.size() * sizeof(float)), 0)
+      << what;
+}
+
+/// Every artifact of `got` equals `want`: feature bytes, depths, mask words,
+/// both CSR matrices, the GAT edge lists and the fingerprint.
+void ExpectSameEncoding(const graph::EncodedGraph& got, const graph::EncodedGraph& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.num_nodes, want.num_nodes) << what;
+  ASSERT_EQ(got.features.numel(), want.features.numel()) << what;
+  EXPECT_EQ(std::memcmp(got.features.data().data(), want.features.data().data(),
+                        want.features.data().size() * sizeof(float)),
+            0)
+      << what;
+  EXPECT_EQ(got.depths, want.depths) << what;
+  EXPECT_EQ(got.dagra_mask, want.dagra_mask) << what;
+  ASSERT_NE(got.adj_norm, nullptr) << what;
+  ASSERT_NE(got.adj_norm_t, nullptr) << what;
+  ExpectSameCsr(*got.adj_norm, *want.adj_norm, what + " adj_norm");
+  ExpectSameCsr(*got.adj_norm_t, *want.adj_norm_t, what + " adj_norm_t");
+  EXPECT_EQ(got.edge_src, want.edge_src) << what;
+  EXPECT_EQ(got.edge_dst, want.edge_dst) << what;
+  EXPECT_EQ(got.fingerprint, want.fingerprint) << what;
+}
+
+TEST(PlanSearch, ParallelMemoFillMatchesStandaloneEncoding) {
+  // The fig10 GPT-3 / platform-1 search: the paper-size 24-layer model with
+  // stages of up to 15 layers (255 slices). build_stage counts its calls, so
+  // the test sees which slices each memo fill built.
+  const BenchmarkModel paper = Gpt3Benchmark(ir::Gpt3Config{});
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  BenchmarkModel counted = paper;
+  counted.build_stage = [builds, build = paper.build_stage](ir::StageSlice slice) {
+    builds->fetch_add(1);
+    return build(slice);
+  };
+  PlanSearchConfig config;
+  config.max_span = 15;
+  PlanSearch search(counted, sim::Platform1(), config);
+  const auto slices = ir::EnumerateStageSlices(paper.num_layers, config.max_span);
+  ASSERT_EQ(slices.size(), 255u);
+
+  // A slice over the max span encodes lazily: one build, no memo fill.
+  const ir::StageSlice wide{0, config.max_span + 1};
+  ExpectSameEncoding(search.EncodedFor(wide), EncodeStage(paper.build_stage(wide)), "wide");
+  EXPECT_EQ(builds->load(), 1);
+
+  // The first in-span miss builds every in-span slice exactly once.
+  for (const ir::StageSlice slice : slices) {
+    const std::string what =
+        std::to_string(slice.first_layer) + ".." + std::to_string(slice.last_layer);
+    const ir::StageProgram fresh = paper.build_stage(slice);
+    EXPECT_EQ(ir::PrintProgram(search.ProgramFor(slice)), ir::PrintProgram(fresh)) << what;
+    ExpectSameEncoding(search.EncodedFor(slice), EncodeStage(fresh), what);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(builds->load(), 1 + static_cast<int>(slices.size()));
 }
 
 }  // namespace

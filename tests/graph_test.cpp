@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "graph/depth.h"
@@ -114,17 +115,42 @@ TEST(ReachabilityClosure, TransitivityProperty) {
   }
 }
 
+/// Bit (u, v) of an n-node bit mask.
+bool MaskBit(const std::vector<std::uint64_t>& bits, std::int64_t n, std::int64_t u,
+             std::int64_t v) {
+  return (bits[static_cast<std::size_t>(u * MaskWords(n) + v / 64)] >> (v % 64)) & 1ULL;
+}
+
+/// Independent oracle: reach[u][v] iff an iterative DFS from u along
+/// successor edges visits v (every node visits itself).
+std::vector<std::vector<bool>> DfsReach(const OpDag& dag) {
+  const auto n = static_cast<std::size_t>(dag.NumNodes());
+  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+  for (std::size_t s = 0; s < n; ++s) {
+    std::vector<std::int32_t> stack{static_cast<std::int32_t>(s)};
+    while (!stack.empty()) {
+      const std::int32_t u = stack.back();
+      stack.pop_back();
+      if (reach[s][static_cast<std::size_t>(u)]) continue;
+      reach[s][static_cast<std::size_t>(u)] = true;
+      for (const std::int32_t v : dag.Successors(u)) stack.push_back(v);
+    }
+  }
+  return reach;
+}
+
 TEST(DagraMask, SymmetricAndCoversEdges) {
   Rng rng(4);
   const OpDag dag = RandomDag(16, 0.2, rng);
-  const tensor::Tensor mask = BuildDagraMask(dag);
+  const std::vector<std::uint64_t> bits = BuildDagraBits(dag);
+  ASSERT_EQ(bits.size(), 16u * MaskWords(16));
   for (std::int32_t u = 0; u < 16; ++u) {
-    EXPECT_EQ(mask.at(u, u), 0.0f);  // self-attention always allowed
+    EXPECT_TRUE(MaskBit(bits, 16, u, u));  // self-attention always allowed
     for (std::int32_t v = 0; v < 16; ++v) {
-      EXPECT_EQ(mask.at(u, v), mask.at(v, u));  // mutual relevance
+      EXPECT_EQ(MaskBit(bits, 16, u, v), MaskBit(bits, 16, v, u));  // mutual relevance
     }
   }
-  for (const auto& [u, v] : dag.Edges()) EXPECT_EQ(mask.at(u, v), 0.0f);
+  for (const auto& [u, v] : dag.Edges()) EXPECT_TRUE(MaskBit(bits, 16, u, v));
 }
 
 TEST(DagraMask, BlocksParallelBranches) {
@@ -136,10 +162,63 @@ TEST(DagraMask, BlocksParallelBranches) {
   dag.AddEdge(0, 2);
   dag.AddEdge(1, 3);
   dag.AddEdge(2, 3);
-  const tensor::Tensor mask = BuildDagraMask(dag);
-  EXPECT_TRUE(std::isinf(mask.at(1, 2)));
-  EXPECT_TRUE(std::isinf(mask.at(2, 1)));
-  EXPECT_EQ(mask.at(0, 3), 0.0f);
+  const std::vector<std::uint64_t> bits = BuildDagraBits(dag);
+  EXPECT_FALSE(MaskBit(bits, 4, 1, 2));
+  EXPECT_FALSE(MaskBit(bits, 4, 2, 1));
+  EXPECT_TRUE(MaskBit(bits, 4, 0, 3));
+  EXPECT_TRUE(MaskBit(bits, 4, 3, 0));
+}
+
+TEST(DagraMask, MatchesDfsReachabilityOnRandomDags) {
+  // Sizes straddle the 64-bit word boundary; densities run from nearly
+  // disconnected to nearly total, so both set and clear bits are exercised
+  // in every word.
+  for (const std::int32_t n : {1, 63, 64, 65, 200}) {
+    for (const double degree : {0.5, 1.5, 4.0}) {
+      Rng rng(1000 + static_cast<std::uint64_t>(n) * 7 + static_cast<std::uint64_t>(degree * 2));
+      const OpDag dag = RandomDag(n, std::min(1.0, degree / n), rng);
+      const std::vector<std::uint64_t> bits = BuildDagraBits(dag);
+      const std::int64_t words = MaskWords(n);
+      ASSERT_EQ(bits.size(), static_cast<std::size_t>(n * words));
+      const auto reach = DfsReach(dag);
+      for (std::int32_t u = 0; u < n; ++u) {
+        for (std::int32_t v = 0; v < n; ++v) {
+          const bool expected = reach[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)] ||
+                                reach[static_cast<std::size_t>(v)][static_cast<std::size_t>(u)];
+          ASSERT_EQ(MaskBit(bits, n, u, v), expected)
+              << "n=" << n << " degree=" << degree << " u=" << u << " v=" << v;
+        }
+        // Padding bits past n in the row's last word are zero.
+        for (std::int64_t v = n; v < words * 64; ++v) {
+          ASSERT_FALSE(MaskBit(bits, n, u, v)) << "n=" << n << " padding bit " << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(DagraMask, ExpansionIsExactlyZeroOrNegativeInfinity) {
+  Rng rng(21);
+  const std::int32_t n = 70;
+  const OpDag dag = RandomDag(n, 2.0 / n, rng);
+  const std::vector<std::uint64_t> bits = BuildDagraBits(dag);
+  const tensor::Tensor mask = ExpandMask(bits, n);
+  ASSERT_EQ(mask.dim(0), n);
+  ASSERT_EQ(mask.dim(1), n);
+  std::vector<float> row(static_cast<std::size_t>(n));
+  for (std::int32_t u = 0; u < n; ++u) {
+    ExpandMaskRow(bits.data() + u * MaskWords(n), n, row.data());
+    for (std::int32_t v = 0; v < n; ++v) {
+      const float x = mask.at(u, v);
+      if (MaskBit(bits, n, u, v)) {
+        EXPECT_EQ(x, 0.0f);
+        EXPECT_FALSE(std::signbit(x));
+      } else {
+        EXPECT_TRUE(std::isinf(x) && x < 0.0f) << u << "," << v;
+      }
+      EXPECT_EQ(std::memcmp(&row[static_cast<std::size_t>(v)], &x, sizeof x), 0);
+    }
+  }
 }
 
 TEST(FullAttentionMask, IsAllZero) {
@@ -304,8 +383,8 @@ TEST(EncodeGraph, ProducesConsistentArtifacts) {
   const EncodedGraph g = EncodeGraph(dag, 4, 3);
   EXPECT_EQ(g.num_nodes, 12);
   EXPECT_EQ(g.features.dim(0), 12);
-  EXPECT_EQ(g.dagra_mask.dim(0), 12);
-  EXPECT_EQ(g.dagra_mask.dim(1), 12);
+  EXPECT_EQ(g.dagra_mask.size(), static_cast<std::size_t>(12 * MaskWords(12)));
+  EXPECT_EQ(g.dagra_mask, BuildDagraBits(dag));
   EXPECT_EQ(g.depths.size(), 12u);
   // GCN adjacency: symmetric and rows indexable.
   ASSERT_NE(g.adj_norm, nullptr);
