@@ -2,8 +2,10 @@
 //
 //  1. A headline comparison suite (runs first, always) that times the GEMM
 //     tiers (naive i-k-j vs packed vs packed+threads), warm tape vs compiled
-//     PredictSeconds on a real GPT-3 stage graph, and the batch executor's
-//     sequential / interleaved / auto modes, and writes the results with a
+//     PredictSeconds on a real GPT-3 stage graph, the plan-search predictor
+//     shape (tape, compiled, interleaved batch on 1 and 4 threads) at 230 and
+//     846 nodes, and the batch executor's sequential / interleaved / auto
+//     modes, and writes the results with a
 //     host record (nproc, ISA) to BENCH_kernels.json (path overridable via
 //     PREDTOP_BENCH_JSON). Each row reports the minimum and the median over
 //     its repetitions. PREDTOP_BENCH_SMOKE=1 shrinks repetitions so CI can
@@ -175,6 +177,77 @@ PredictResult RunPredictComparison(bool smoke) {
   return result;
 }
 
+struct Fig10Row {
+  std::int64_t graph_nodes = 0;
+  std::int64_t batch = 0;
+  Timing tape;               // autograd Forward, one query
+  Timing compiled;           // compiled InferProgram, one query
+  Timing interleaved_pool1;  // `batch` queries interleaved on a 1-thread pool
+  Timing interleaved_pool4;  // the same batch on a 4-thread pool
+};
+
+/// `batch` copies of `base` with per-query feature perturbations (distinct
+/// inputs, one shape class).
+std::vector<graph::EncodedGraph> PerturbedBatch(const graph::EncodedGraph& base,
+                                                std::int64_t batch) {
+  std::vector<graph::EncodedGraph> graphs(static_cast<std::size_t>(batch), base);
+  for (std::size_t q = 0; q < graphs.size(); ++q) {
+    const float scale = 1.0f + 0.02f * static_cast<float>(q % 17);
+    for (float& x : graphs[q].features.data()) x *= scale;
+  }
+  return graphs;
+}
+
+std::vector<Fig10Row> RunFig10PredictorSweep(bool smoke) {
+  // The plan-search benchmark's predictor shape (dim 16, 2 layers, 2 heads:
+  // head dim 8, logit scale 1/sqrt(8)) on GPT-3 stages of 230 and 846 nodes,
+  // the latter the largest slice a fig10 search prices.
+  core::PredictorOptions options;
+  options.feature_dim = core::StageFeatureDim();
+  options.dagt_dim = 16;
+  options.dagt_layers = 2;
+  options.dagt_heads = 2;
+  auto model = core::MakePredictor(core::PredictorKind::kDagTransformer, options);
+  const std::int64_t batch = smoke ? 8 : 64;
+  util::ThreadPool pool1(1);
+  util::ThreadPool pool4(4);
+  std::vector<Fig10Row> rows;
+  for (const ir::StageSlice slice : {ir::StageSlice{0, 4}, ir::StageSlice{0, 15}}) {
+    const graph::EncodedGraph encoded =
+        core::EncodeStage(ir::BuildGpt3Stage(ir::Gpt3Config{}, slice));
+    Fig10Row row;
+    row.graph_nodes = encoded.num_nodes;
+    row.batch = batch;
+    const int reps = smoke ? 3 : 31;
+    row.tape = Time(reps, [&] { benchmark::DoNotOptimize(model->Forward(encoded)); });
+    row.compiled = Time(reps, [&] { benchmark::DoNotOptimize(model->InferScalar(encoded)); });
+    const std::vector<graph::EncodedGraph> graphs = PerturbedBatch(encoded, batch);
+    std::vector<const graph::EncodedGraph*> ptrs;
+    for (const auto& g : graphs) ptrs.push_back(&g);
+    std::vector<float> out(graphs.size());
+    const int batch_reps = smoke ? 2 : 7;
+    for (auto [pool, timing] : {std::pair{&pool1, &row.interleaved_pool1},
+                                std::pair{&pool4, &row.interleaved_pool4}}) {
+      compile::BatchOptions opts;
+      opts.mode = compile::BatchMode::kInterleaved;
+      opts.pool = pool;
+      *timing = Time(batch_reps, [&] {
+        model->InferScalarBatch(ptrs.data(), ptrs.size(), out.data(), opts);
+        benchmark::DoNotOptimize(out.data());
+      });
+    }
+    const double per = 1e6 / static_cast<double>(batch);
+    std::cerr << "[bench] fig10 predictor, " << row.graph_nodes << " nodes (median): tape "
+              << row.tape.median_s * 1e3 << " ms, compiled " << row.compiled.median_s * 1e3
+              << " ms, interleaved batch " << batch << " pool=1 "
+              << row.interleaved_pool1.median_s * per << " us/query, pool=4 "
+              << row.interleaved_pool4.median_s * per << " us/query ("
+              << row.interleaved_pool1.median_s / row.interleaved_pool4.median_s << "x)\n";
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 struct BatchRow {
   std::int64_t batch = 0;
   Timing sequential;   // InferScalar per query on the calling thread
@@ -195,11 +268,7 @@ std::vector<BatchRow> RunBatchSweep(bool smoke) {
   const int reps = smoke ? 3 : 11;
   const std::int64_t max_batch = batches.back();
 
-  std::vector<graph::EncodedGraph> graphs(static_cast<std::size_t>(max_batch), base);
-  for (std::size_t q = 0; q < graphs.size(); ++q) {
-    const float scale = 1.0f + 0.02f * static_cast<float>(q % 17);
-    for (float& x : graphs[q].features.data()) x *= scale;
-  }
+  const std::vector<graph::EncodedGraph> graphs = PerturbedBatch(base, max_batch);
   std::vector<const graph::EncodedGraph*> ptrs;
   for (const auto& g : graphs) ptrs.push_back(&g);
 
@@ -238,7 +307,8 @@ std::vector<BatchRow> RunBatchSweep(bool smoke) {
 }
 
 void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
-               const PredictResult& predict, const std::vector<BatchRow>& batch, bool smoke) {
+               const PredictResult& predict, const std::vector<Fig10Row>& fig10,
+               const std::vector<BatchRow>& batch, bool smoke) {
   std::ofstream out(path);
   out << "{\n  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
       << ", \"isa\": \"" << CompiledIsa() << "\", \"gemm_threads\": "
@@ -257,7 +327,19 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
       << JsonTiming("compiled_narrow_tile", predict.compiled_narrow_tile)
       << ", \"speedup_compiled_vs_tape\": "
       << predict.tape.median_s / predict.compiled.median_s << "},\n";
-  out << "  \"batch_predict\": [\n";
+  out << "  \"predict_fig10_predictor\": [\n";
+  for (std::size_t i = 0; i < fig10.size(); ++i) {
+    const Fig10Row& row = fig10[i];
+    out << "    {\"graph_nodes\": " << row.graph_nodes << ", " << JsonTiming("tape", row.tape)
+        << ", " << JsonTiming("compiled", row.compiled) << ", \"batch\": " << row.batch << ", "
+        << JsonTiming("interleaved_pool1", row.interleaved_pool1) << ", "
+        << JsonTiming("interleaved_pool4", row.interleaved_pool4)
+        << ", \"speedup_compiled_vs_tape\": " << row.tape.median_s / row.compiled.median_s
+        << ", \"scaling_pool4_vs_pool1\": "
+        << row.interleaved_pool1.median_s / row.interleaved_pool4.median_s << "}"
+        << (i + 1 < fig10.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"batch_predict\": [\n";
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const BatchRow& row = batch[i];
     out << "    {\"batch\": " << row.batch << ", " << JsonTiming("sequential", row.sequential)
@@ -403,8 +485,9 @@ int main(int argc, char** argv) {
       util::EnvString("PREDTOP_BENCH_JSON").value_or("BENCH_kernels.json");
   const std::vector<GemmRow> gemm = RunGemmSweep(smoke);
   const PredictResult predict = RunPredictComparison(smoke);
+  const std::vector<Fig10Row> fig10 = RunFig10PredictorSweep(smoke);
   const std::vector<BatchRow> batch = RunBatchSweep(smoke);
-  WriteJson(json_path, gemm, predict, batch, smoke);
+  WriteJson(json_path, gemm, predict, fig10, batch, smoke);
   if (smoke) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -36,7 +36,9 @@
 #                        forwards and batches, batch-executor bit parity,
 #                        program-cache LRU and owner eviction, PredictMany
 #                        vs per-query Predict), the fast-path parity suite,
-#                        the bit-packed DAGRA mask vs a DFS oracle and the
+#                        the bit-packed DAGRA mask vs a DFS oracle, the GCN
+#                        adjacency vs a COO reference, pinned fingerprints,
+#                        the GCN backward through the shared transpose and the
 #                        plan search's parallel memo fill vs standalone
 #                        encodings, then the fig10 engine drill on both paper
 #                        platforms with PREDTOP_AUTOTUNE=1 (batch-oracle plan
@@ -81,14 +83,22 @@ fi
 if [[ "${1:-}" == "engine" ]]; then
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
-    --target compile_test serve_test infer_test graph_test core_test fig10_optimization
+    --target compile_test serve_test infer_test graph_test core_test simd_test \
+    fig10_optimization
+  # All of compile_test, including FusedParity.* (the fused attention at the
+  # plan search's narrow heads and inexact scales, vs the tape), and the
+  # attention's windowed kernels against the whole-row ones the tape runs.
   ./build-asan/tests/compile_test
-  ./build-asan/tests/serve_test --gtest_filter='Service.*:ServingOracle.*'
+  ./build-asan/tests/simd_test --gtest_filter='SimdDot.*:MaskedSoftmaxRow.*'
+  ./build-asan/tests/serve_test --gtest_filter='Service.*:ServingOracle.*:Fingerprint.*'
   ./build-asan/tests/infer_test --gtest_filter='InferParity.*:PackedGemm.*'
-  # The bit-packed DAGRA mask against a DFS oracle, and the plan search's
-  # parallel memo fill against standalone encodings.
-  ./build-asan/tests/graph_test --gtest_filter='DagraMask.*:EncodeGraph.*'
-  ./build-asan/tests/core_test --gtest_filter='PlanSearch.ParallelMemoFillMatchesStandaloneEncoding'
+  # The bit-packed DAGRA mask against a DFS oracle, the GCN adjacency against
+  # a COO reference, pinned fingerprints, the GCN backward through the shared
+  # transpose, and the plan search's parallel memo fill against standalone
+  # encodings.
+  ./build-asan/tests/graph_test --gtest_filter='DagraMask.*:EncodeGraph.*:Fingerprint.*'
+  ./build-asan/tests/core_test \
+    --gtest_filter='PlanSearch.ParallelMemoFillMatchesStandaloneEncoding:GcnSharedTranspose.*'
   # Plan search on both paper platforms through the per-query oracle, the
   # batch oracle and a tape-priced oracle, with the runtime autotuner on:
   # batch == per-query to the bit, and batch matches the tape plan.
@@ -123,9 +133,10 @@ if [[ "${1:-}" == "tsan" ]]; then
   # The program cache's build-once-per-shape race, per-thread plan buffers,
   # and the weight snapshots under simultaneous readers — single forwards
   # and batches.
-  # The mixed-shape work list on no pool, one worker and four.
+  # The mixed-shape work list on no pool, one worker and four, and the fused
+  # attention's ThreadPool(4) batch at the plan search's shapes.
   ./build-tsan/tests/compile_test \
-    --gtest_filter='CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTapeAndFastPath:CompiledBatch.RegressorBatchMatchesSequentialAcrossShapes'
+    --gtest_filter='CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTapeAndFastPath:CompiledBatch.RegressorBatchMatchesSequentialAcrossShapes:FusedParity.*'
   # Router concurrency: the cluster-wide coalescing map, per-worker
   # connection locking and failover counters under concurrent clients, plus
   # the overload-protection suites (deadline shedding, admission budgets,

@@ -29,8 +29,8 @@ util::ThreadPool& SharedBatchPool() {
 
 /// Per-query GEMM FLOPs of the program (2*m*k*n each) — the dominant cost,
 /// used by the kAuto crossover against the TuneTable: the linear steps, plus
-/// each attention step's q k^T and weights * v products (2 * 2*n*n*dim over
-/// its heads) and, when fused, its q|k|v projection.
+/// each attention step's q|k|v projection and its q k^T and weights * v
+/// products (2 * 2*n*n*dim over its heads).
 std::int64_t GemmFlops(const InferProgram& p) {
   std::int64_t flops = 0;
   const std::int64_t n = p.num_nodes;
@@ -43,10 +43,7 @@ std::int64_t GemmFlops(const InferProgram& p) {
                  s.linear->InFeatures() * s.linear->OutFeatures();
         break;
       case OpKind::kFusedAttention:
-        flops += 2 * n * s.attn->Dim() * 3 * s.attn->Dim();
-        [[fallthrough]];
-      case OpKind::kAttnHeads:
-        flops += 4 * n * n * s.attn->Dim();
+        flops += 2 * n * s.attn->Dim() * 3 * s.attn->Dim() + 4 * n * n * s.attn->Dim();
         break;
       default:
         break;

@@ -18,10 +18,6 @@ namespace predtop::compile {
 
 namespace {
 
-/// Lanes below this are treated as -inf masked (matches the autograd mask
-/// builder's -1e30 sentinel with headroom).
-constexpr float kNegInfCut = -1e30f;
-
 /// Per-graph open-lane structure of the DAGRA reachability mask, shared by
 /// every attention step of one forward (the mask is identical across layers
 /// and heads). Grow-only members so a warm rebuild never allocates.
@@ -84,8 +80,7 @@ void CheckInputs(const InferProgram& p, const ExecInputs& in) {
   bool wants_edges = false;
   for (const Step& s : p.steps) {
     switch (s.kind) {
-      case OpKind::kFusedAttention:
-      case OpKind::kAttnHeads: wants_mask |= s.use_mask; break;
+      case OpKind::kFusedAttention: wants_mask |= s.use_mask; break;
       case OpKind::kSpmm: wants_adj = true; break;
       case OpKind::kEdgeScores:
       case OpKind::kSegmentSoftmax:
@@ -274,13 +269,18 @@ void BuildMaskRuns(const InferProgram& p, const ExecInputs& in, MaskRuns& state)
   }
 }
 
-/// Mask-aware fused attention: combined q|k|v projection, per-head windowed
-/// logits GEMM, deferred softmax restricted to each row's open-lane window,
-/// and a k-windowed weights*V GEMM written straight into the head's column
-/// block of the output. Lanes outside a row's window are provably -inf
-/// masked, so their weights are exact zeros and skipping them leaves every
-/// surviving accumulation term bit-identical.
-void RunFusedAttention(const InferProgram& p, const Step& s,
+/// Mask-aware fused attention: combined q|k|v projection, then per head and
+/// per kGemmMr-row block: the logits tile over the block's merged panel runs,
+/// the tape's scaled masked softmax over each row's window, and the
+/// weights * V tile over the open k lanes, written straight into the head's
+/// column block of the output. Lanes outside a row's window are -inf masked,
+/// so their weights are exact zeros and skipping them leaves every
+/// accumulation bit-identical. Each per-head product accumulates in the
+/// order of tensor::MatMul's tier for its shape (the packed and naive tiers
+/// share one order; the narrow tier is a lane-split simd::Dot), and the
+/// softmax is the tape's RowSoftmax, so the step matches the tape's
+/// attention bit for bit at any dim, head dim and scale.
+void RunFusedAttention(const InferProgram& p, const Step& s, const ExecInputs& in,
                        const InferProgram::Snapshot& snap, const float* x, float* y,
                        float* scratch, const MaskRuns& state) {
   const nn::MultiheadMaskedAttention& at = *s.attn;
@@ -289,175 +289,91 @@ void RunFusedAttention(const InferProgram& p, const Step& s,
   const std::int64_t hd = at.HeadDim();
   const std::int64_t d3 = 3 * d;
   const InferProgram::AttnSnap& as = snap.attn[static_cast<std::size_t>(s.aux)];
+  const std::uint64_t* mask = s.use_mask && !in.mask.empty() ? in.mask.data() : nullptr;
+  const std::int64_t mask_words = graph::MaskWords(n);
+  // tensor::MatMul's narrow tier: an output narrower than 16 columns over
+  // k >= 16, for q_h k_h^T (output n wide) and weights * v_h (hd wide).
+  const bool narrow_logits = n < 16 && hd >= 16;
+  const bool narrow_values = hd < 16 && n >= 16;
 
   float* qkv = scratch;
-  float* logits = qkv + n * d3;
-  float* invs = logits + n * n;
-  float* packbuf = invs + n;
+  float* kpack = qkv + n * d3;
+  float* vbuf = kpack + tensor::PackedBFloats(hd, n);  // v_h packed, or v_h^T
+  float* tile = vbuf + tensor::PackedBFloats(n, hd);   // kGemmMr rows of n lanes
 
   tensor::MatMulPackedViewStridedInto(x, n, d, tensor::ViewOf(as.qkv), qkv, d3);
   tensor::fused::BiasActRows(qkv, n, d3, d3, as.bias.data(), tensor::fused::Act::kNone);
-  // Fold 1/sqrt(dk) into the q columns (post-bias, exactly like the unfused
-  // chain's kScale on the q projection).
-  for (std::int64_t i = 0; i < n; ++i) {
-    float* row = qkv + i * d3;
-    for (std::int64_t j = 0; j < d; ++j) row[j] *= s.scalar;
-  }
 
   const std::int32_t* wlo = state.win_lo.data();
   const std::int32_t* whi = state.win_hi.data();
-  const std::int32_t* cstart = state.chunk_start.data();
-  const std::int32_t* cbounds = state.chunk_bounds.data();
   const std::int32_t* bstart = state.brun_start.data();
   const std::int32_t* bbounds = state.brun_bounds.data();
+  // Row i's softmax span: its window widened to whole 16-lane groups.
+  const auto span_lo = [&](std::int64_t i) -> std::int64_t { return wlo[i] / 16 * 16; };
+  const auto span_hi = [&](std::int64_t i) -> std::int64_t {
+    return std::min<std::int64_t>(n, (whi[i] + 15) / 16 * 16);
+  };
 
   for (std::int64_t h = 0; h < at.Heads(); ++h) {
     const std::int64_t off = h * hd;
-    // logits = q_h k_h^T over each row block's merged panel runs (the chunked
-    // softmax never reads the gaps between runs).
-    tensor::PackBTransposedIntoBuf(qkv + d + off, hd, n, packbuf, d3);
-    const tensor::PackedBView kview{packbuf, hd, n};
+    const float* q = qkv + off;
+    const float* k = qkv + d + off;
+    const float* v = qkv + 2 * d + off;
+    tensor::PackBTransposedIntoBuf(k, hd, n, kpack, d3);
+    if (narrow_values) {
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t j = 0; j < hd; ++j) vbuf[j * n + i] = v[i * d3 + j];
+      }
+    } else {
+      tensor::PackBIntoBuf(v, n, hd, vbuf, d3);
+    }
+    const tensor::PackedBView kview{kpack, hd, n};
+    const tensor::PackedBView vview{vbuf, n, hd};
     for (std::int64_t i = 0; i < n; i += tensor::kGemmMr) {
       const int mr = static_cast<int>(std::min<std::int64_t>(tensor::kGemmMr, n - i));
       const std::int64_t b = i / tensor::kGemmMr;
-      for (std::int32_t r = bstart[b]; r < bstart[b + 1]; ++r) {
-        tensor::PackedViewTile(qkv + i * d3 + off, d3, kview, logits + i * n, n, mr,
-                               bbounds[2 * r], bbounds[2 * r + 1], 0, hd);
+      // logits = q_h k_h^T over the block's merged panel runs (the softmax
+      // never reads the gaps between runs).
+      if (narrow_logits) {
+        for (int r = 0; r < mr; ++r) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            tile[r * n + j] = tensor::simd::Dot(q + (i + r) * d3, k + j * d3, hd);
+          }
+        }
+      } else {
+        for (std::int32_t c = bstart[b]; c < bstart[b + 1]; ++c) {
+          tensor::PackedViewTile(q + i * d3, d3, kview, tile, n, mr, bbounds[2 * c],
+                                 bbounds[2 * c + 1], 0, hd);
+        }
       }
-    }
-    for (std::int64_t i = 0; i < n; ++i) {
-      tensor::fused::DeferredSoftmaxRowChunks(logits + i * n, logits + i * n, n,
-                                              cbounds + 2 * cstart[i],
-                                              cstart[i + 1] - cstart[i], &invs[i]);
-    }
-    // y[:, off:off+hd] = weights * v_h, restricted to each block's union of
-    // open k lanes (the zeroed lanes outside contribute exact zeros anyway).
-    tensor::PackBIntoBuf(qkv + 2 * d + off, n, hd, packbuf, d3);
-    const tensor::PackedBView vview{packbuf, n, hd};
-    for (std::int64_t i = 0; i < n; i += tensor::kGemmMr) {
-      const int mr = static_cast<int>(std::min<std::int64_t>(tensor::kGemmMr, n - i));
-      std::int64_t blo = n, bhi = 0;
       for (int r = 0; r < mr; ++r) {
-        blo = std::min<std::int64_t>(blo, wlo[i + r]);
-        bhi = std::max<std::int64_t>(bhi, whi[i + r]);
+        tensor::fused::MaskedSoftmaxRow(tile + r * n, n,
+                                        mask != nullptr ? mask + (i + r) * mask_words : nullptr,
+                                        s.scalar, span_lo(i + r), span_hi(i + r));
       }
-      tensor::PackedViewTile(logits + i * n, n, vview, y + i * d + off, d, mr, 0, hd,
-                             std::min(blo, bhi), bhi);
-    }
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float inv = invs[i];
-      float* row = y + i * d + off;
-      for (std::int64_t j = 0; j < hd; ++j) row[j] *= inv;
-    }
-  }
-}
-
-/// Unfused attention heads, at the shape classes the fuser declines: the
-/// tape's MultiheadMaskedAttention forward step for step — per-head slices,
-/// logits = (q_h k_h^T) * scale, normalized masked softmax, weights * v_h —
-/// with each GEMM on tensor::MatMul's packed/narrow/naive tier for its
-/// shape. Head outputs land directly in their column block of `y`, which is
-/// bitwise the tape's ConcatCols result.
-void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
-                  const float* q, const float* k, const float* v, float* y,
-                  float* scratch) {
-  const nn::MultiheadMaskedAttention& at = *s.attn;
-  const std::int64_t n = p.num_nodes;
-  const std::int64_t d = at.Dim();
-  const std::int64_t hd = at.HeadDim();
-  const std::uint64_t* mask = s.use_mask && !in.mask.empty() ? in.mask.data() : nullptr;
-  const std::int64_t mask_words = graph::MaskWords(n);
-
-  float* qh = scratch;
-  float* kh = qh + n * hd;
-  float* vh = kh + n * hd;
-  float* logits = vh + n * hd;
-  float* tmp = logits + n * n;  // softmax row; transposes for naive/narrow tiers
-  float* mask_row = tmp + n * hd;  // one mask row expanded to additive floats
-  float* packbuf = mask_row + n;
-  for (std::int64_t h = 0; h < at.Heads(); ++h) {
-    const std::int64_t off = h * hd;
-    for (std::int64_t i = 0; i < n; ++i) {
-      std::memcpy(qh + i * hd, q + i * d + off, static_cast<std::size_t>(hd) * sizeof(float));
-      std::memcpy(kh + i * hd, k + i * d + off, static_cast<std::size_t>(hd) * sizeof(float));
-      std::memcpy(vh + i * hd, v + i * d + off, static_cast<std::size_t>(hd) * sizeof(float));
-    }
-    // logits = qh * kh^T (m=n, k=hd, n=n).
-    if (tensor::UsePackedGemm(n, hd, n)) {
-      tensor::PackBTransposedIntoBuf(kh, hd, n, packbuf, hd);
-      tensor::MatMulPackedViewStridedInto(qh, n, hd, {packbuf, hd, n}, logits, n);
-    } else if (n < 16 && hd >= 16) {
-      // Narrow tier: B is kh^T, whose transpose is kh itself — Dot over hd.
-      for (std::int64_t i = 0; i < n; ++i) {
-        for (std::int64_t j = 0; j < n; ++j) {
-          logits[i * n + j] = tensor::simd::Dot(qh + i * hd, kh + j * hd, hd);
+      // y[i:i+mr, off:off+hd] = weights * v_h over the open k lanes.
+      float* yblock = y + i * d + off;
+      if (narrow_values) {
+        for (int r = 0; r < mr; ++r) {
+          // Dot's tail runs over all of [n16, n): zero what the span left out.
+          float* row = tile + r * n;
+          std::fill(row + std::max(span_hi(i + r), n / 16 * 16), row + n, 0.0f);
+          tensor::simd::DotWindowColumns(row, vbuf, n, hd, n, wlo[i + r], whi[i + r],
+                                         yblock + r * d);
         }
-      }
-    } else {
-      // Naive i-k-j against a materialized kh^T (hd, n), zero-skip like
-      // tensor::MatMulNaive.
-      for (std::int64_t kk = 0; kk < hd; ++kk) {
-        for (std::int64_t i = 0; i < n; ++i) tmp[kk * n + i] = kh[i * hd + kk];
-      }
-      std::fill(logits, logits + n * n, 0.0f);
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* arow = qh + i * hd;
-        float* crow = logits + i * n;
-        for (std::int64_t kk = 0; kk < hd; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const float* brow = tmp + kk * n;
-          for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      } else {
+        // One k window for the whole block: zero each row outside its span.
+        std::int64_t blo = n, bhi = 0;
+        for (int r = 0; r < mr; ++r) {
+          blo = std::min<std::int64_t>(blo, span_lo(i + r));
+          bhi = std::max<std::int64_t>(bhi, span_hi(i + r));
         }
-      }
-    }
-    for (std::int64_t i = 0; i < n * n; ++i) logits[i] *= s.scalar;
-    // attn = masked row softmax (the exp row goes through `tmp`, then lands
-    // normalized back in the logits row).
-    for (std::int64_t i = 0; i < n; ++i) {
-      float* lrow = logits + i * n;
-      const float* mrow = nullptr;
-      if (mask != nullptr) {
-        graph::ExpandMaskRow(mask + i * mask_words, n, mask_row);
-        mrow = mask_row;
-      }
-      const float maxv = tensor::simd::MaskedRowMax(lrow, mrow, n);
-      if (maxv < kNegInfCut) {  // fully masked row
-        std::fill(lrow, lrow + n, 0.0f);
-        continue;
-      }
-      tensor::simd::ExpShiftedNonPositiveN(lrow, mrow, maxv, tmp, n);
-      const float inv = 1.0f / tensor::simd::Sum(tmp, n);
-      for (std::int64_t j = 0; j < n; ++j) lrow[j] = tmp[j] * inv;
-    }
-    // y[:, off:off+hd] = attn * vh (m=n, k=n, n=hd).
-    if (tensor::UsePackedGemm(n, n, hd)) {
-      tensor::PackBIntoBuf(vh, n, hd, packbuf, hd);
-      tensor::MatMulPackedViewStridedInto(logits, n, n, {packbuf, n, hd}, y + off, d);
-    } else if (hd < 16 && n >= 16) {
-      // Narrow tier: Dot over the long k dimension against vh^T.
-      for (std::int64_t kk = 0; kk < n; ++kk) {
-        for (std::int64_t j = 0; j < hd; ++j) tmp[j * n + kk] = vh[kk * hd + j];
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        float* row = y + i * d + off;
-        for (std::int64_t j = 0; j < hd; ++j) {
-          row[j] = tensor::simd::Dot(logits + i * n, tmp + j * n, n);
+        for (int r = 0; r < mr; ++r) {
+          float* row = tile + r * n;
+          std::fill(row + blo, row + std::max(blo, span_lo(i + r)), 0.0f);
+          std::fill(row + std::min(bhi, span_hi(i + r)), row + bhi, 0.0f);
         }
-      }
-    } else {
-      for (std::int64_t i = 0; i < n; ++i) {
-        std::fill(y + i * d + off, y + i * d + off + hd, 0.0f);
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* arow = logits + i * n;
-        float* crow = y + i * d + off;
-        for (std::int64_t kk = 0; kk < n; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const float* brow = vh + kk * hd;
-          for (std::int64_t j = 0; j < hd; ++j) crow[j] += av * brow[j];
-        }
+        tensor::PackedViewTile(tile, n, vview, yblock, d, mr, 0, hd, blo, bhi);
       }
     }
   }
@@ -497,7 +413,6 @@ void RunSegmentSoftmax(const InferProgram& p, const ExecInputs& in, const float*
 struct StepOperands {
   const float* a = nullptr;
   const float* b = nullptr;
-  const float* c = nullptr;
   float* out = nullptr;
 };
 
@@ -539,7 +454,7 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       break;
     }
     case OpKind::kFusedAttention:
-      RunFusedAttention(p, s, snap, ops.a, ops.out, scratch, runs);
+      RunFusedAttention(p, s, in, snap, ops.a, ops.out, scratch, runs);
       break;
     case OpKind::kScale: {
       float* a = ops.out;
@@ -578,9 +493,6 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       }
       break;
     }
-    case OpKind::kAttnHeads:
-      RunAttnHeads(p, s, in, ops.a, ops.b, ops.c, ops.out, scratch);
-      break;
     case OpKind::kSpmm: {
       const tensor::Csr& a = *g.adj_norm;
       const float* x = ops.a;
@@ -745,7 +657,7 @@ void Execute(const InferProgram& p, const ExecInputs& in, float* out) {
 
   for (std::size_t si = 0; si < p.steps.size(); ++si) {
     const Step& s = p.steps[si];
-    const StepOperands ops{ptr_of(s.a), ptr_of(s.b), ptr_of(s.c),
+    const StepOperands ops{ptr_of(s.a), ptr_of(s.b),
                            base + p.offsets[static_cast<std::size_t>(s.out)]};
     RunStep(p, si, *snap, in, ops, scratch, state.runs);
   }

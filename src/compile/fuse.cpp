@@ -1,28 +1,21 @@
 #include "compile/fuse.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
-
-#include "tensor/ops.h"
 
 namespace predtop::compile {
 
 namespace {
 
-/// Steps reading value v (as a, b, or c). Defining writes (out) with
+/// Steps reading value v (as a or b). Defining writes (out) with
 /// out == a count as reads too, which is what in-place ops are.
 [[nodiscard]] std::vector<std::size_t> ReadersOf(const std::vector<Step>& steps, ValueId v) {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const Step& s = steps[i];
-    if (s.a == v || s.b == v || s.c == v) out.push_back(i);
+    if (s.a == v || s.b == v) out.push_back(i);
   }
   return out;
-}
-
-[[nodiscard]] bool IsLinearOf(const Step& s, const nn::Linear* lin, ValueId out) {
-  return s.kind == OpKind::kLinear && s.linear == lin && s.out == out;
 }
 
 void Erase(std::vector<Step>& steps, const std::vector<std::size_t>& sorted_indices) {
@@ -31,58 +24,7 @@ void Erase(std::vector<Step>& steps, const std::vector<std::size_t>& sorted_indi
   }
 }
 
-/// True when multiplying by s is exact (s a power of two): folding such a
-/// scale into q before q k^T yields the bits of scaling the logits after it.
-[[nodiscard]] bool ExactScale(float s) {
-  int exponent = 0;
-  return std::frexp(s, &exponent) == 0.5f;
-}
-
-/// Pattern 1: the four-step attention chain ending in kAttnHeads.
-void FuseAttention(std::vector<Step>& steps, std::int64_t num_nodes) {
-  for (std::size_t i = 3; i < steps.size(); ++i) {
-    Step& s = steps[i];
-    if (s.kind != OpKind::kAttnHeads || s.attn == nullptr) continue;
-    // The combined pack is bit-identical to three separate packs only when
-    // each projection's columns land on whole panels.
-    if (s.attn->Dim() % tensor::kGemmPanel != 0) continue;
-    // The fused kernel folds the logit scale into q.
-    if (!ExactScale(s.scalar)) continue;
-    // The fused kernel runs every GEMM packed; fuse only the shape classes
-    // where the unfused steps would pick the packed tier for the q/k/v
-    // projections AND both per-head multiplies. Below these floors the
-    // unfused steps run with their own tier dispatch.
-    const std::int64_t n = num_nodes;
-    const std::int64_t d = s.attn->Dim();
-    const std::int64_t hd = s.attn->HeadDim();
-    if (!tensor::UsePackedGemm(n, d, d) || !tensor::UsePackedGemm(n, hd, n) ||
-        !tensor::UsePackedGemm(n, n, hd)) {
-      continue;
-    }
-    const Step& lq = steps[i - 3];
-    const Step& lk = steps[i - 2];
-    const Step& lv = steps[i - 1];
-    if (!IsLinearOf(lq, &s.attn->Wq(), s.a) || !IsLinearOf(lk, &s.attn->Wk(), s.b) ||
-        !IsLinearOf(lv, &s.attn->Wv(), s.c)) {
-      continue;
-    }
-    if (lq.a != lk.a || lq.a != lv.a) continue;  // one shared input x
-    // q/k/v are read only by the attention — otherwise eliding them would
-    // change some other step.
-    if (ReadersOf(steps, s.a) != std::vector<std::size_t>{i}) continue;
-    if (ReadersOf(steps, s.b) != std::vector<std::size_t>{i}) continue;
-    if (ReadersOf(steps, s.c) != std::vector<std::size_t>{i}) continue;
-
-    s.kind = OpKind::kFusedAttention;
-    s.a = lq.a;
-    s.b = kNoValue;
-    s.c = kNoValue;
-    Erase(steps, {i - 3, i - 2, i - 1});
-    i -= 3;
-  }
-}
-
-/// Pattern 2: Linear -> in-place residual Add -> LayerNorm.
+/// Pattern 1: Linear -> in-place residual Add -> LayerNorm.
 void FuseResidualNorm(std::vector<Step>& steps) {
   for (std::size_t i = 2; i < steps.size(); ++i) {
     Step& ln = steps[i];
@@ -102,7 +44,7 @@ void FuseResidualNorm(std::vector<Step>& steps) {
   }
 }
 
-/// Pattern 3: Linear -> in-place activation.
+/// Pattern 2: Linear -> in-place activation.
 void FuseLinearAct(std::vector<Step>& steps) {
   for (std::size_t i = 1; i < steps.size(); ++i) {
     const Step& act = steps[i];
@@ -124,14 +66,8 @@ void FuseLinearAct(std::vector<Step>& steps) {
 }  // namespace
 
 void FusePatterns(InferProgram& p) {
-  FuseAttention(p.steps, p.num_nodes);
   FuseResidualNorm(p.steps);
   FuseLinearAct(p.steps);
-  // Assign snapshot slots to the surviving fused attention steps.
-  std::int32_t attn_count = 0;
-  for (Step& s : p.steps) {
-    if (s.kind == OpKind::kFusedAttention) s.aux = attn_count++;
-  }
 }
 
 }  // namespace predtop::compile

@@ -1,30 +1,22 @@
 #pragma once
 // Fusion pass over a recorded (unfused) InferProgram. Patterns, in order:
 //
-//  1. attention chain   [Linear(Wq), Linear(Wk), Linear(Wv), AttnHeads]
-//                                              -> kFusedAttention
-//     (combined q|k|v pack + the logit scale folded into q; requires dim to
-//     be a kGemmPanel multiple so the combined pack is bit-identical to three
-//     separate packs, a power-of-two scale so the fold is exact, and every
-//     GEMM in the chain to take the packed tier — the fused kernel is
-//     all-packed, so fusing a shape whose unfused GEMMs run naive/narrow
-//     would change the float bits)
-//  2. residual norm     [Linear -> y, Add(y, r), LayerNorm(y)]
+//  1. residual norm     [Linear -> y, Add(y, r), LayerNorm(y)]
 //                                              -> kLinearResidualNorm
-//  3. activation        [Linear -> y, Relu(y)] -> kLinearAct
+//  2. activation        [Linear -> y, Relu(y)] -> kLinearAct
 //
 // Each match is validated with value use counts (the fused intermediate must
 // have no other reader), so a pattern that merely *looks* adjacent is never
 // fused incorrectly. Matching is intentionally conservative: a miss leaves
 // the unfused steps in place, which stays correct — the executor runs them
-// as recorded.
+// as recorded. Attention needs no pattern: ProgramBuilder::Attention records
+// it as one kFusedAttention step.
 
 #include "compile/program.h"
 
 namespace predtop::compile {
 
-/// Rewrites `p.steps` in place and assigns snapshot slots to the fused
-/// attention steps.
+/// Rewrites `p.steps` in place.
 void FusePatterns(InferProgram& p);
 
 }  // namespace predtop::compile

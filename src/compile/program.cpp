@@ -29,22 +29,10 @@ namespace {
       const std::int64_t n = p.num_nodes;
       const std::int64_t d = s.attn->Dim();
       const std::int64_t hd = s.attn->HeadDim();
-      const std::int64_t pack = std::max(tensor::PackedBFloats(hd, n),   // k^T pack
-                                         tensor::PackedBFloats(n, hd));  // v pack
-      return n * 3 * d  // combined q|k|v activation block
-             + n * n    // per-head logits / deferred softmax weights
-             + n        // per-row 1/sum factors
-             + pack;
-    }
-    case OpKind::kAttnHeads: {
-      // Per-head q/k/v slices, the (n, n) logits, a transpose temp for the
-      // non-packed tiers, one expanded mask row, and the pack buffer for the
-      // packed tiers.
-      const std::int64_t n = p.num_nodes;
-      const std::int64_t hd = s.attn->HeadDim();
-      const std::int64_t pack = std::max(tensor::PackedBFloats(hd, n),
-                                         tensor::PackedBFloats(n, hd));
-      return 4 * n * hd + n * n + n + pack;
+      return n * 3 * d                        // combined q|k|v activation block
+             + tensor::PackedBFloats(hd, n)   // k_h^T pack
+             + tensor::PackedBFloats(n, hd)   // v_h pack
+             + tensor::kGemmMr * n;           // one row block of logits / weights
     }
     case OpKind::kSegmentSoftmax:
       // Per-segment max and denominator accumulators.
@@ -116,22 +104,22 @@ ValueId ProgramBuilder::LayerNorm(ValueId x, const autograd::Variable& gain,
   return out;
 }
 
-ValueId ProgramBuilder::AttnHeads(const nn::MultiheadMaskedAttention& attn, ValueId q,
-                                  ValueId k, ValueId v, bool use_mask) {
-  const std::int64_t n = Info(q).rows;
-  if (Info(q).cols != attn.Dim() || Info(k).cols != attn.Dim() ||
-      Info(v).cols != attn.Dim() || Info(k).rows != n || Info(v).rows != n) {
-    throw std::invalid_argument("ProgramBuilder::AttnHeads: shape mismatch");
+ValueId ProgramBuilder::Attention(const nn::MultiheadMaskedAttention& attn, ValueId x,
+                                  bool use_mask) {
+  const ValueInfo& xi = Info(x);
+  if (xi.cols != attn.Dim()) {
+    throw std::invalid_argument("ProgramBuilder::Attention: feature width mismatch");
   }
-  const ValueId out = NewValue(n, attn.Dim());
-  p_->steps.push_back({.kind = OpKind::kAttnHeads,
+  std::int32_t slot = 0;  // index into Snapshot::attn
+  for (const Step& s : p_->steps) slot += s.kind == OpKind::kFusedAttention ? 1 : 0;
+  const ValueId out = NewValue(xi.rows, attn.Dim());
+  p_->steps.push_back({.kind = OpKind::kFusedAttention,
                        .out = out,
-                       .a = q,
-                       .b = k,
-                       .c = v,
+                       .a = x,
                        .attn = &attn,
                        .scalar = 1.0f / std::sqrt(static_cast<float>(attn.HeadDim())),
-                       .use_mask = use_mask});
+                       .use_mask = use_mask,
+                       .aux = slot});
   return out;
 }
 
@@ -236,7 +224,7 @@ std::shared_ptr<InferProgram> ProgramBuilder::Finish(ValueId output) {
   std::vector<bool> defined(p.values.size(), false);
   for (std::int32_t i = 0; i < num_steps; ++i) {
     const Step& s = p.steps[static_cast<std::size_t>(i)];
-    for (const ValueId v : {s.out, s.a, s.b, s.c}) {
+    for (const ValueId v : {s.out, s.a, s.b}) {
       if (v == kNoValue) continue;
       const auto vi = static_cast<std::size_t>(v);
       if (p.values[vi].external != External::kNone) continue;
@@ -290,9 +278,9 @@ std::shared_ptr<const InferProgram::Snapshot> InferProgram::CurrentSnapshot() co
     const Step& s = steps[i];
     if (s.linear != nullptr) fresh->lin[i] = s.linear->SnapshotInferWeights();
     if (s.kind != OpKind::kFusedAttention) continue;
-    // Combined [Wq | Wk | Wv] pack: column-concatenating the three (d, d)
-    // weights before packing yields the identical panel stream as three
-    // separate packs (d is a panel multiple, enforced by the fuser).
+    // Combined [Wq | Wk | Wv] pack: each output column accumulates over the
+    // same k sequence as in its own projection's pack, wherever the panel
+    // boundaries fall, so the q/k/v bits equal three separate GEMMs.
     AttnSnap& as = fresh->attn[static_cast<std::size_t>(s.aux)];
     const std::int64_t d = s.attn->Dim();
     const nn::Linear* proj[3] = {&s.attn->Wq(), &s.attn->Wk(), &s.attn->Wv()};

@@ -8,11 +8,12 @@
 // InferProgram, the only inference engine (the autograd tape serves training
 // and is the parity reference):
 //
-//  - ProgramBuilder records the unfused module-level ops of the predictor's
-//    Forward (one Step per Linear / activation / norm / graph op);
-//  - the fusion pass (fuse.h) pattern-matches Linear+activation,
-//    Linear+residual+LayerNorm, and the attention projection chain into
-//    single fused steps backed by the kernels in tensor/fused.h;
+//  - ProgramBuilder records the module-level ops of the predictor's Forward
+//    (one Step per Linear / activation / norm / graph op, and one fused step
+//    per attention block up to W_o);
+//  - the fusion pass (fuse.h) pattern-matches Linear+activation and
+//    Linear+residual+LayerNorm into single fused steps backed by the kernels
+//    in tensor/fused.h;
 //  - the static planner (planner.h) computes first-use/last-use intervals
 //    per intermediate and assigns fixed offsets in one flat buffer, so a
 //    warm forward performs zero allocation and zero cursor arithmetic;
@@ -64,14 +65,14 @@ enum class OpKind : std::uint8_t {
   kLinear,             // out = a W + b(ias)
   kLinearAct,          // fused: out = act(a W + bias)
   kLinearResidualNorm, // fused: out = LayerNorm(a W + bias + b, gain, beta)
-  kFusedAttention,     // fused: out = multihead(a) pre-W_o (combined qkv pack)
+  kFusedAttention,     // out = multihead masked attention of a, before W_o
+                       // (combined qkv pack; scalar = 1/sqrt(head_dim))
   // Unfused building blocks (in-place ops keep out == a).
   kScale,         // a *= scalar
   kAdd,           // a += b
   kRelu,          // a = relu(a)
   kLeakyRelu,     // a = leaky_relu(a, scalar)
   kLayerNorm,     // out = LayerNorm(a, gain, bias)
-  kAttnHeads,     // out = per-head softmax(scalar * q k^T + mask) v; a=q, b=k, c=v
   // Graph / pooling ops.
   kSpmm,          // out = g.adj_norm * a
   kPool,          // out = column sums of a, (1, cols)
@@ -94,7 +95,6 @@ struct Step {
   ValueId out = kNoValue;
   ValueId a = kNoValue;
   ValueId b = kNoValue;
-  ValueId c = kNoValue;
   const nn::Linear* linear = nullptr;
   const nn::MultiheadMaskedAttention* attn = nullptr;
   /// LayerNorm gain / MatVec vector / AddRowVector bias, depending on kind.
@@ -160,7 +160,7 @@ class InferProgram {
   mutable std::shared_ptr<const Snapshot> snap_;
 };
 
-/// Records the unfused op sequence for one predictor forward. The builder
+/// Records the op sequence for one predictor forward. The builder
 /// validates shapes as it goes and throws std::invalid_argument on a
 /// mismatch, so a recorded program never faults at execution time.
 class ProgramBuilder {
@@ -175,10 +175,12 @@ class ProgramBuilder {
   void LeakyRelu(ValueId a, float negative_slope);
   [[nodiscard]] ValueId LayerNorm(ValueId x, const autograd::Variable& gain,
                                   const autograd::Variable& bias);
-  /// Per-head masked attention over projected q/k/v, with the logits scaled
-  /// by 1/sqrt(head_dim) after the q k^T multiply (the tape's order).
-  [[nodiscard]] ValueId AttnHeads(const nn::MultiheadMaskedAttention& attn, ValueId q,
-                                  ValueId k, ValueId v, bool use_mask);
+  /// Multihead masked attention of x up to (not including) the W_o
+  /// projection: q/k/v projections, per-head softmax(q k^T / sqrt(head_dim)
+  /// + mask) v, heads concatenated. One kFusedAttention step, bit-identical
+  /// to the tape's forward.
+  [[nodiscard]] ValueId Attention(const nn::MultiheadMaskedAttention& attn, ValueId x,
+                                  bool use_mask);
   [[nodiscard]] ValueId Spmm(ValueId x);
   [[nodiscard]] ValueId Pool(ValueId x);
   [[nodiscard]] ValueId Concat2(ValueId a, ValueId b);

@@ -139,9 +139,9 @@ class DagTransformerPredictor final : public StagePredictor {
   std::string Name() const override { return "DagTransformer"; }
 
   /// Record Forward's op sequence: input projection (+DAGPE), the
-  /// transformer layers, pooled head. The fusion pass turns each layer into
-  /// kFusedAttention + two kLinearResidualNorm + one kLinearAct step when the
-  /// shape takes the packed GEMM tier.
+  /// transformer layers, pooled head. Each layer becomes one kFusedAttention
+  /// step, and the fusion pass adds two kLinearResidualNorm and one
+  /// kLinearAct step.
   std::shared_ptr<compile::InferProgram> BuildProgram(
       const graph::EncodedGraph& g) const override {
     RequireFeatures(g, options_.feature_dim);
@@ -155,10 +155,7 @@ class DagTransformerPredictor final : public StagePredictor {
     }
     for (const auto& layer : layers_) {
       const nn::MultiheadMaskedAttention& at = layer->Attention();
-      const compile::ValueId q = b.Linear(at.Wq(), h);
-      const compile::ValueId k = b.Linear(at.Wk(), h);
-      const compile::ValueId v = b.Linear(at.Wv(), h);
-      const compile::ValueId merged = b.AttnHeads(at, q, k, v, options_.use_dagra);
+      const compile::ValueId merged = b.Attention(at, h, options_.use_dagra);
       const compile::ValueId o = b.Linear(at.Wo(), merged);
       b.Add(o, h);
       const compile::ValueId h1 = b.LayerNorm(o, layer->Norm1Gain(), layer->Norm1Bias());

@@ -1,5 +1,6 @@
 #include "graph/encode.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -44,44 +45,53 @@ EncodedGraph EncodeGraph(const OpDag& dag, std::int32_t num_op_types, std::int32
   out.dagra_mask = BuildDagraBits(dag);
   out.depths = NodeDepths(dag);
 
-  // GCN: Â = D^{-1/2} (A_undirected + I) D^{-1/2}.
+  // GCN: Â = D^{-1/2} (A_undirected + I) D^{-1/2}, built row by row: row i
+  // holds i's predecessors, its successors and i itself, sorted. A DAG has
+  // no duplicate, antiparallel or self edges, so no two entries of a row
+  // share a column.
   const auto n = out.num_nodes;
-  std::vector<std::int32_t> rows, cols;
-  std::vector<float> ones;
-  std::vector<std::int32_t> degree(static_cast<std::size_t>(n), 1);  // self-loop
-  for (const auto& [u, v] : dag.Edges()) {
-    rows.push_back(u);
-    cols.push_back(v);
-    rows.push_back(v);
-    cols.push_back(u);
-    ++degree[static_cast<std::size_t>(u)];
-    ++degree[static_cast<std::size_t>(v)];
-  }
+  auto adj = std::make_shared<tensor::Csr>();
+  adj->rows = n;
+  adj->cols = n;
+  adj->row_ptr.resize(static_cast<std::size_t>(n) + 1);
+  adj->row_ptr[0] = 0;
+  std::vector<float> degree(static_cast<std::size_t>(n));
   for (std::int32_t i = 0; i < n; ++i) {
-    rows.push_back(i);
-    cols.push_back(i);
+    const std::size_t row = dag.Predecessors(i).size() + dag.Successors(i).size() + 1;
+    degree[static_cast<std::size_t>(i)] = static_cast<float>(row);
+    adj->row_ptr[static_cast<std::size_t>(i) + 1] =
+        adj->row_ptr[static_cast<std::size_t>(i)] + static_cast<std::int64_t>(row);
   }
-  ones.reserve(rows.size());
-  for (std::size_t e = 0; e < rows.size(); ++e) {
-    const float du = static_cast<float>(degree[static_cast<std::size_t>(rows[e])]);
-    const float dv = static_cast<float>(degree[static_cast<std::size_t>(cols[e])]);
-    ones.push_back(1.0f / std::sqrt(du * dv));
+  const auto nnz = static_cast<std::size_t>(adj->row_ptr.back());
+  adj->col_idx.resize(nnz);
+  adj->values.resize(nnz);
+  for (std::int32_t i = 0; i < n; ++i) {
+    const auto begin = adj->col_idx.begin() + adj->row_ptr[static_cast<std::size_t>(i)];
+    auto it = std::copy(dag.Predecessors(i).begin(), dag.Predecessors(i).end(), begin);
+    it = std::copy(dag.Successors(i).begin(), dag.Successors(i).end(), it);
+    *it++ = i;
+    std::sort(begin, it);
+    const float di = degree[static_cast<std::size_t>(i)];
+    for (auto e = begin; e != it; ++e) {
+      adj->values[static_cast<std::size_t>(e - adj->col_idx.begin())] =
+          1.0f / std::sqrt(di * degree[static_cast<std::size_t>(*e)]);
+    }
   }
-  auto adj = std::make_shared<tensor::Csr>(tensor::Csr::FromCoo(n, n, rows, cols, ones));
-  // Â is symmetric by construction, but store an explicit transpose so the
-  // autograd op never has to assume it.
-  auto adj_t = std::make_shared<tensor::Csr>(adj->Transposed());
+  // Â is symmetric and float multiplication commutes, so Â^T is Â bit for
+  // bit: the transpose shares its storage.
   out.adj_norm = std::move(adj);
-  out.adj_norm_t = std::move(adj_t);
+  out.adj_norm_t = out.adj_norm;
 
   // GAT: messages along both edge directions plus self-loops.
-  out.edge_src.reserve(rows.size());
-  out.edge_dst.reserve(rows.size());
-  for (const auto& [u, v] : dag.Edges()) {
-    out.edge_src.push_back(u);
-    out.edge_dst.push_back(v);
-    out.edge_src.push_back(v);
-    out.edge_dst.push_back(u);
+  out.edge_src.reserve(nnz);
+  out.edge_dst.reserve(nnz);
+  for (std::int32_t u = 0; u < n; ++u) {
+    for (const std::int32_t v : dag.Successors(u)) {
+      out.edge_src.push_back(u);
+      out.edge_dst.push_back(v);
+      out.edge_src.push_back(v);
+      out.edge_dst.push_back(u);
+    }
   }
   for (std::int32_t i = 0; i < n; ++i) {
     out.edge_src.push_back(i);

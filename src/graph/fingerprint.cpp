@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <span>
 #include <vector>
 
 namespace predtop::graph {
@@ -28,34 +29,80 @@ std::uint64_t FloatBits(float f) noexcept {
   return std::bit_cast<std::uint32_t>(f);
 }
 
+/// Flat neighbor lists: node i's neighbors are idx[ptr[i] .. ptr[i + 1]).
+/// The sums below are commutative, so the order within a list is free.
+struct NeighborLists {
+  std::vector<std::int32_t> ptr;
+  std::vector<std::int32_t> idx;
+  [[nodiscard]] std::span<const std::int32_t> operator[](std::size_t i) const {
+    return {idx.data() + ptr[i], static_cast<std::size_t>(ptr[i + 1] - ptr[i])};
+  }
+};
+
+/// Counting-sort bucketing of `keys[e] -> vals[e]` by key into n lists.
+NeighborLists Bucket(std::size_t n, const std::vector<std::int32_t>& keys,
+                     const std::vector<std::int32_t>& vals) {
+  NeighborLists out;
+  out.ptr.assign(n + 1, 0);
+  for (const std::int32_t k : keys) ++out.ptr[static_cast<std::size_t>(k) + 1];
+  for (std::size_t i = 0; i < n; ++i) out.ptr[i + 1] += out.ptr[i];
+  out.idx.resize(keys.size());
+  std::vector<std::int32_t> cursor(out.ptr.begin(), out.ptr.end() - 1);
+  for (std::size_t e = 0; e < keys.size(); ++e) {
+    out.idx[static_cast<std::size_t>(cursor[static_cast<std::size_t>(keys[e])]++)] = vals[e];
+  }
+  return out;
+}
+
+/// A DAG's in-place adjacency and a bucketed edge list, read alike.
+struct DagAdjacency {
+  const OpDag& dag;
+  [[nodiscard]] const std::vector<std::int32_t>& Preds(std::size_t i) const {
+    return dag.Predecessors(static_cast<std::int32_t>(i));
+  }
+  [[nodiscard]] const std::vector<std::int32_t>& Succs(std::size_t i) const {
+    return dag.Successors(static_cast<std::int32_t>(i));
+  }
+};
+
+struct EdgeListAdjacency {
+  NeighborLists preds;
+  NeighborLists succs;
+  [[nodiscard]] std::span<const std::int32_t> Preds(std::size_t i) const { return preds[i]; }
+  [[nodiscard]] std::span<const std::int32_t> Succs(std::size_t i) const { return succs[i]; }
+};
+
 /// One WL refinement round: each node's hash absorbs the (commutative) sums
 /// of its in- and out-neighbor hashes, kept separate so direction matters.
-void RefineRound(std::vector<std::uint64_t>& node_hash,
-                 const std::vector<std::vector<std::int32_t>>& preds,
-                 const std::vector<std::vector<std::int32_t>>& succs) {
-  std::vector<std::uint64_t> next(node_hash.size());
+template <typename Adjacency>
+void RefineRound(std::vector<std::uint64_t>& node_hash, std::vector<std::uint64_t>& next,
+                 const Adjacency& adj) {
   for (std::size_t i = 0; i < node_hash.size(); ++i) {
     std::uint64_t in_sum = 0;
     std::uint64_t out_sum = 0;
-    for (const std::int32_t p : preds[i]) in_sum += Mix(node_hash[static_cast<std::size_t>(p)]);
-    for (const std::int32_t s : succs[i]) out_sum += Mix(node_hash[static_cast<std::size_t>(s)]);
+    for (const std::int32_t p : adj.Preds(i)) {
+      in_sum += Mix(node_hash[static_cast<std::size_t>(p)]);
+    }
+    for (const std::int32_t s : adj.Succs(i)) {
+      out_sum += Mix(node_hash[static_cast<std::size_t>(s)]);
+    }
     next[i] = Combine(Combine(node_hash[i], in_sum), Mix(out_sum) ^ 0x5bd1e995ULL);
   }
   node_hash.swap(next);
 }
 
-std::uint64_t FinishFingerprint(std::vector<std::uint64_t> node_hash,
-                                const std::vector<std::vector<std::int32_t>>& preds,
-                                const std::vector<std::vector<std::int32_t>>& succs,
+template <typename Adjacency>
+std::uint64_t FinishFingerprint(std::vector<std::uint64_t> node_hash, const Adjacency& adj,
                                 std::uint64_t num_edges) {
-  RefineRound(node_hash, preds, succs);
-  RefineRound(node_hash, preds, succs);
+  std::vector<std::uint64_t> next(node_hash.size());
+  RefineRound(node_hash, next, adj);
+  RefineRound(node_hash, next, adj);
   // Commutative reduction over nodes and over refined edge endpoint pairs.
   std::uint64_t node_sum = 0;
   for (const std::uint64_t h : node_hash) node_sum += Mix(h);
   std::uint64_t edge_sum = 0;
-  for (std::size_t v = 0; v < succs.size(); ++v) {
-    for (const std::int32_t u : preds[v]) {
+  for (std::size_t v = 0; v < node_hash.size(); ++v) {
+    for (const std::int32_t u : adj.Preds(v)) {
       edge_sum += Mix(node_hash[static_cast<std::size_t>(u)] ^
                       std::rotl(node_hash[v], 17));
     }
@@ -72,8 +119,6 @@ std::uint64_t FinishFingerprint(std::vector<std::uint64_t> node_hash,
 std::uint64_t DagFingerprint(const OpDag& dag) {
   const auto n = static_cast<std::size_t>(dag.NumNodes());
   std::vector<std::uint64_t> node_hash(n);
-  std::vector<std::vector<std::int32_t>> preds(n);
-  std::vector<std::vector<std::int32_t>> succs(n);
   for (std::size_t i = 0; i < n; ++i) {
     const DagNode& node = dag.Node(static_cast<std::int32_t>(i));
     std::uint64_t h = Combine(0x6461676eULL, static_cast<std::uint64_t>(node.kind));
@@ -81,10 +126,8 @@ std::uint64_t DagFingerprint(const OpDag& dag) {
     h = Combine(h, static_cast<std::uint64_t>(node.dtype));
     for (const std::int64_t d : node.out_dims) h = Combine(h, static_cast<std::uint64_t>(d));
     node_hash[i] = h;
-    preds[i] = dag.Predecessors(static_cast<std::int32_t>(i));
-    succs[i] = dag.Successors(static_cast<std::int32_t>(i));
   }
-  return FinishFingerprint(std::move(node_hash), preds, succs,
+  return FinishFingerprint(std::move(node_hash), DagAdjacency{dag},
                            static_cast<std::uint64_t>(dag.NumEdges()));
 }
 
@@ -95,30 +138,37 @@ std::uint64_t EncodedGraphFingerprint(const EncodedGraph& g) {
   if (g.fingerprint != 0) return g.fingerprint;
   const auto n = static_cast<std::size_t>(g.num_nodes);
   std::vector<std::uint64_t> node_hash(n);
-  const std::int64_t width = n > 0 ? g.features.dim(1) : 0;
-  const auto features = g.features.data();
+  const auto width = static_cast<std::size_t>(n > 0 ? g.features.dim(1) : 0);
+  const float* features = g.features.data().data();
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t h = Combine(0x656e63ULL,
-                              i < g.depths.size()
-                                  ? static_cast<std::uint64_t>(g.depths[i])
-                                  : 0ULL);
-    for (std::int64_t c = 0; c < width; ++c) {
-      h = Combine(h, FloatBits(features[static_cast<std::size_t>(
-                       static_cast<std::int64_t>(i) * width + c)]));
+    node_hash[i] = Combine(0x656e63ULL, i < g.depths.size()
+                                            ? static_cast<std::uint64_t>(g.depths[i])
+                                            : 0ULL);
+  }
+  // Each node's hash is a serial chain over its feature row; advance four
+  // nodes' chains in lockstep so their multiplies overlap.
+  constexpr std::size_t kLanes = 4;
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    std::uint64_t h[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) h[l] = node_hash[i + l];
+    for (std::size_t c = 0; c < width; ++c) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        h[l] = Combine(h[l], FloatBits(features[(i + l) * width + c]));
+      }
     }
-    node_hash[i] = h;
+    for (std::size_t l = 0; l < kLanes; ++l) node_hash[i + l] = h[l];
+  }
+  for (; i < n; ++i) {
+    for (std::size_t c = 0; c < width; ++c) {
+      node_hash[i] = Combine(node_hash[i], FloatBits(features[i * width + c]));
+    }
   }
   // The GAT edge list (bidirectional + self-loops) is a deterministic
   // function of the DAG's edges, so it carries the full structure.
-  std::vector<std::vector<std::int32_t>> preds(n);
-  std::vector<std::vector<std::int32_t>> succs(n);
-  for (std::size_t e = 0; e < g.edge_src.size(); ++e) {
-    const std::int32_t u = g.edge_src[e];
-    const std::int32_t v = g.edge_dst[e];
-    succs[static_cast<std::size_t>(u)].push_back(v);
-    preds[static_cast<std::size_t>(v)].push_back(u);
-  }
-  return FinishFingerprint(std::move(node_hash), preds, succs,
+  return FinishFingerprint(std::move(node_hash),
+                           EdgeListAdjacency{Bucket(n, g.edge_dst, g.edge_src),
+                                             Bucket(n, g.edge_src, g.edge_dst)},
                            static_cast<std::uint64_t>(g.edge_src.size()));
 }
 

@@ -8,8 +8,8 @@
 // documented 1e-6 parity contract against the autograd tape. Fusion buys the
 // memory passes, not a different formula.
 //
-// The deferred softmax leaves normalization to the caller (one scale of the
-// (n, head_dim) output instead of the (n, n) weights).
+// The masked softmax row reproduces the tape's RowSoftmax bit for bit while
+// touching only the lanes a row's mask leaves open.
 
 #include <cstdint>
 
@@ -29,18 +29,18 @@ void BiasActRows(float* c, std::int64_t rows, std::int64_t cols, std::int64_t ld
 void LayerNormRow(const float* xrow, const float* gain, const float* bias, float* orow,
                   std::int64_t cols, float eps = 1e-5f) noexcept;
 
-/// One row of the deferred-normalization masked softmax, for callers that
-/// know the row's exact open-lane runs (the compiled executor precomputes
-/// them once per graph — the reachability mask is a shape invariant).
-/// `chunks` holds `num_chunks` [lo, hi) pairs in ascending order; every lane
-/// outside the runs is -inf masked and written as exact 0, and lanes inside
-/// need no mask check at all. orow holds the unnormalized exp weights and
-/// *inv the 1/sum factor (0 for a row with no open lane). The exp shift is
-/// the max over the open lanes — the shift the tape's RowSoftmax sees after
-/// adding the mask — and a masked lane is never read, so an overflowed
-/// logit under the mask cannot poison the row.
-void DeferredSoftmaxRowChunks(const float* lrow, float* orow, std::int64_t cols,
-                              const std::int32_t* chunks, std::int64_t num_chunks,
-                              float* inv) noexcept;
+/// One row of the tape's masked attention softmax, in place over the lanes
+/// [lo, hi) of a `cols`-lane row of logits: row = softmax(row * scale) over
+/// the lanes whose bit is set in `bits` (bit j of word j / 64; null = every
+/// lane open), exact 0 on the others. lo must be a multiple of 16, hi either
+/// a multiple of 16 or cols, and every open lane must lie in [lo, hi).
+/// Bit-identical to tensor::RowSoftmax of the scaled row under the additive
+/// 0 / -inf mask: each exp runs on the vector or scalar path the tape's
+/// whole-row pass takes for that lane, and the sum adds the lanes in
+/// simd::Sum's order. Only open lanes are read for the max, so an
+/// overflowed logit under the mask cannot poison the row; a row with no
+/// open lane comes out all zeros.
+void MaskedSoftmaxRow(float* row, std::int64_t cols, const std::uint64_t* bits, float scale,
+                      std::int64_t lo, std::int64_t hi) noexcept;
 
 }  // namespace predtop::tensor::fused

@@ -5,6 +5,7 @@
 // training — narrow-output GEMMs and attention softmax — use these 8-wide
 // kernels directly. Scalar fallbacks keep other compilers working.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -28,14 +29,6 @@ inline float HorizontalMax(F8 v) noexcept {
   return m;
 }
 
-#if defined(__AVX512F__)
-inline float HorizontalSum16(float __attribute__((vector_size(64))) v) noexcept {
-  float total = v[0];
-  for (int i = 1; i < 16; ++i) total += v[i];
-  return total;
-}
-#endif
-
 // 16-wide twins, native on AVX-512 and legalized to narrower ops elsewhere;
 // elementwise kernels produce the same bits at any width, so these are
 // drop-in fast paths, not a numeric fork.
@@ -46,6 +39,17 @@ inline F16 Broadcast16(float v) noexcept {
   return F16{v, v, v, v, v, v, v, v, v, v, v, v, v, v, v, v};
 }
 #endif
+
+/// total + a[i] * b[i] summed in order over [i, n): Dot's scalar tail. The
+/// compiler may split this loop into vector products and scalar fused
+/// multiply-adds depending on the trip count, so every caller that must
+/// reproduce Dot's bits runs this one loop over the same [i, n).
+[[nodiscard]] inline float DotTail(float total, const float* __restrict a,
+                                   const float* __restrict b, std::int64_t i,
+                                   std::int64_t n) noexcept {
+  for (; i < n; ++i) total += a[i] * b[i];
+  return total;
+}
 
 /// Dot product of two contiguous float spans of length n.
 [[nodiscard]] inline float Dot(const float* __restrict a, const float* __restrict b,
@@ -63,13 +67,74 @@ inline F16 Broadcast16(float v) noexcept {
     acc0 += va0 * vb0;
     acc1 += va1 * vb1;
   }
-  float total = HorizontalSum(acc0 + acc1);
-  for (; i < n; ++i) total += a[i] * b[i];
-  return total;
+  return DotTail(HorizontalSum(acc0 + acc1), a, b, i, n);
 #else
-  float total = 0.0f;
-  for (std::int64_t i = 0; i < n; ++i) total += a[i] * b[i];
-  return total;
+  return DotTail(0.0f, a, b, 0, n);
+#endif
+}
+
+#ifdef PREDTOP_HAVE_VECTOR_EXT
+namespace detail {
+
+/// W columns of DotWindowColumns: one 16-lane accumulator per column, lanes
+/// 0-7 and 8-15 being Dot's acc0 and acc1, then Dot's own tail loop.
+template <int W>
+inline void DotWindowColumnGroup(const float* __restrict a, const float* __restrict bt,
+                                 std::int64_t ldb, std::int64_t n, std::int64_t lo,
+                                 std::int64_t hi, float* __restrict out) noexcept {
+  const std::int64_t blocks_end = n / 16 * 16;
+  const std::int64_t vec_end = std::min((hi + 15) / 16 * 16, blocks_end);
+  F16 acc[W];
+  for (int t = 0; t < W; ++t) acc[t] = Broadcast16(0.0f);
+  for (std::int64_t i = lo / 16 * 16; i < vec_end; i += 16) {
+    F16 va;
+    std::memcpy(&va, a + i, sizeof va);
+    for (int t = 0; t < W; ++t) {
+      F16 vb;
+      std::memcpy(&vb, bt + t * ldb + i, sizeof vb);
+      acc[t] += va * vb;
+    }
+  }
+  for (int t = 0; t < W; ++t) {
+    F8 acc0, acc1;
+    std::memcpy(&acc0, &acc[t], sizeof acc0);
+    std::memcpy(&acc1, reinterpret_cast<const char*>(&acc[t]) + sizeof acc0, sizeof acc1);
+    out[t] = DotTail(HorizontalSum(acc0 + acc1), a, bt + t * ldb, blocks_end, n);
+  }
+}
+
+}  // namespace detail
+#endif
+
+/// out[j] = Dot(a, bt + j * ldb, n) for j in [0, cols), for an `a` that is
+/// exactly zero outside [lo, hi): one pass over a's window shared by every
+/// column, with Dot's lane split and reduction order per column. It skips
+/// the 16-lane blocks outside the window (exact zero products) and runs
+/// Dot's tail over the whole of [n rounded down to 16, n), so a must hold
+/// real zeros in the blocks the window touches and in that tail. Each out[j]
+/// is bit-identical to Dot.
+inline void DotWindowColumns(const float* __restrict a, const float* __restrict bt,
+                             std::int64_t ldb, std::int64_t cols, std::int64_t n,
+                             std::int64_t lo, std::int64_t hi, float* __restrict out) noexcept {
+#ifdef PREDTOP_HAVE_VECTOR_EXT
+  hi = std::min(hi, n);
+  for (std::int64_t j = 0; j < cols; j += 8) {
+    const float* b = bt + j * ldb;
+    switch (std::min<std::int64_t>(8, cols - j)) {
+      case 8: detail::DotWindowColumnGroup<8>(a, b, ldb, n, lo, hi, out + j); break;
+      case 7: detail::DotWindowColumnGroup<7>(a, b, ldb, n, lo, hi, out + j); break;
+      case 6: detail::DotWindowColumnGroup<6>(a, b, ldb, n, lo, hi, out + j); break;
+      case 5: detail::DotWindowColumnGroup<5>(a, b, ldb, n, lo, hi, out + j); break;
+      case 4: detail::DotWindowColumnGroup<4>(a, b, ldb, n, lo, hi, out + j); break;
+      case 3: detail::DotWindowColumnGroup<3>(a, b, ldb, n, lo, hi, out + j); break;
+      case 2: detail::DotWindowColumnGroup<2>(a, b, ldb, n, lo, hi, out + j); break;
+      default: detail::DotWindowColumnGroup<1>(a, b, ldb, n, lo, hi, out + j); break;
+    }
+  }
+#else
+  (void)lo;
+  (void)hi;
+  for (std::int64_t j = 0; j < cols; ++j) out[j] = Dot(a, bt + j * ldb, n);
 #endif
 }
 
@@ -169,9 +234,9 @@ inline F8 ExpNonPositiveV(F8 vx) noexcept {
   return p * scale;  // scale is +0.0 on underflow lanes
 }
 
-#if defined(__AVX512F__)
 /// 16-wide twin of ExpNonPositiveV — same polynomial, same rounding, same
-/// bits per lane, half the instructions per element.
+/// bits per lane, half the instructions per element on AVX-512 (two 8-wide
+/// halves elsewhere).
 inline F16 ExpNonPositiveV16(F16 vx) noexcept {
   const F16 floor_arg = Broadcast16(-100.0f);
   vx = vx < floor_arg ? floor_arg : vx;
@@ -192,7 +257,6 @@ inline F16 ExpNonPositiveV16(F16 vx) noexcept {
   std::memcpy(&scale, &ni, sizeof scale);
   return p * scale;
 }
-#endif
 #endif
 
 /// out[i] = exp(x[i]) for non-positive x, vectorized. Values below the
@@ -219,144 +283,6 @@ inline void ExpNonPositiveN(const float* __restrict x, float* __restrict out,
 #else
   for (std::int64_t i = 0; i < n; ++i) out[i] = x[i] < -100.0f ? 0.0f : ExpNonPositive(x[i]);
 #endif
-}
-
-/// max over i of x[i] + add[i] (`add` nullable). The per-lane adds are the
-/// same elementwise operations as the scalar loop and max is exactly
-/// associative, so this reduction is bit-identical to a sequential pass.
-[[nodiscard]] inline float MaskedRowMax(const float* __restrict x, const float* __restrict add,
-                                        std::int64_t n) noexcept {
-  float maxv = -std::numeric_limits<float>::infinity();
-  std::int64_t i = 0;
-#ifdef PREDTOP_HAVE_VECTOR_EXT
-  if (n >= 8) {
-    F8 vmax = Broadcast(-std::numeric_limits<float>::infinity());
-    if (add != nullptr) {
-      for (; i + 8 <= n; i += 8) {
-        F8 vx, va;
-        std::memcpy(&vx, x + i, sizeof vx);
-        std::memcpy(&va, add + i, sizeof va);
-        const F8 v = vx + va;
-        vmax = v > vmax ? v : vmax;
-      }
-    } else {
-      for (; i + 8 <= n; i += 8) {
-        F8 vx;
-        std::memcpy(&vx, x + i, sizeof vx);
-        vmax = vx > vmax ? vx : vmax;
-      }
-    }
-    maxv = HorizontalMax(vmax);
-  }
-#endif
-  for (; i < n; ++i) {
-    const float v = x[i] + (add != nullptr ? add[i] : 0.0f);
-    maxv = v > maxv ? v : maxv;
-  }
-  return maxv;
-}
-
-/// out[i] = exp(x[i] + add[i] - shift) with `add` nullable and the arguments
-/// guaranteed non-positive (shift is the row max). Fuses the softmax shift
-/// pass into the exp pass; per element this is the identical float sequence
-/// (add, subtract, ExpNonPositive) as the two-pass formulation.
-inline void ExpShiftedNonPositiveN(const float* __restrict x, const float* __restrict add,
-                                   float shift, float* __restrict out,
-                                   std::int64_t n) noexcept {
-  std::int64_t i = 0;
-#ifdef PREDTOP_HAVE_VECTOR_EXT
-  const F8 vshift = Broadcast(shift);
-  if (add != nullptr) {
-#if defined(__AVX512F__)
-    const F16 wshift = Broadcast16(shift);
-    for (; i + 16 <= n; i += 16) {
-      F16 vx, va;
-      std::memcpy(&vx, x + i, sizeof vx);
-      std::memcpy(&va, add + i, sizeof va);
-      const F16 result = ExpNonPositiveV16((vx + va) - wshift);
-      std::memcpy(out + i, &result, sizeof result);
-    }
-#endif
-    for (; i + 8 <= n; i += 8) {
-      F8 vx, va;
-      std::memcpy(&vx, x + i, sizeof vx);
-      std::memcpy(&va, add + i, sizeof va);
-      const F8 result = ExpNonPositiveV((vx + va) - vshift);
-      std::memcpy(out + i, &result, sizeof result);
-    }
-  } else {
-#if defined(__AVX512F__)
-    const F16 wshift = Broadcast16(shift);
-    for (; i + 16 <= n; i += 16) {
-      F16 vx;
-      std::memcpy(&vx, x + i, sizeof vx);
-      const F16 result = ExpNonPositiveV16(vx - wshift);
-      std::memcpy(out + i, &result, sizeof result);
-    }
-#endif
-    for (; i + 8 <= n; i += 8) {
-      F8 vx;
-      std::memcpy(&vx, x + i, sizeof vx);
-      const F8 result = ExpNonPositiveV(vx - vshift);
-      std::memcpy(out + i, &result, sizeof result);
-    }
-  }
-#endif
-  for (; i < n; ++i) {
-    const float v = x[i] + (add != nullptr ? add[i] : 0.0f) - shift;
-    out[i] = v < -100.0f ? 0.0f : ExpNonPositive(v);
-  }
-}
-
-/// ExpShiftedNonPositiveN that also returns the sum of the outputs,
-/// accumulated in vector lanes during the exp pass (lane-split order, so the
-/// value can differ from a sequential sum in the last bits).
-inline float ExpShiftedNonPositiveSumN(const float* __restrict x, const float* __restrict add,
-                                       float shift, float* __restrict out,
-                                       std::int64_t n) noexcept {
-  float total = 0.0f;
-  std::int64_t i = 0;
-#ifdef PREDTOP_HAVE_VECTOR_EXT
-  F8 acc8 = Broadcast(0.0f);
-  const F8 vshift = Broadcast(shift);
-#if defined(__AVX512F__)
-  F16 acc16 = Broadcast16(0.0f);
-  const F16 wshift = Broadcast16(shift);
-  for (; i + 16 <= n; i += 16) {
-    F16 vx;
-    std::memcpy(&vx, x + i, sizeof vx);
-    if (add != nullptr) {
-      F16 va;
-      std::memcpy(&va, add + i, sizeof va);
-      vx += va;
-    }
-    const F16 result = ExpNonPositiveV16(vx - wshift);
-    acc16 += result;
-    std::memcpy(out + i, &result, sizeof result);
-  }
-  total += HorizontalSum16(acc16);
-#endif
-  for (; i + 8 <= n; i += 8) {
-    F8 vx;
-    std::memcpy(&vx, x + i, sizeof vx);
-    if (add != nullptr) {
-      F8 va;
-      std::memcpy(&va, add + i, sizeof va);
-      vx += va;
-    }
-    const F8 result = ExpNonPositiveV(vx - vshift);
-    acc8 += result;
-    std::memcpy(out + i, &result, sizeof result);
-  }
-  total += HorizontalSum(acc8);
-#endif
-  for (; i < n; ++i) {
-    const float v = x[i] + (add != nullptr ? add[i] : 0.0f) - shift;
-    const float e = v < -100.0f ? 0.0f : ExpNonPositive(v);
-    out[i] = e;
-    total += e;
-  }
-  return total;
 }
 
 }  // namespace predtop::tensor::simd

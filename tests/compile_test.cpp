@@ -199,8 +199,9 @@ TEST(CompiledParity, DegenerateShapesMatchTape) {
     graphs.emplace_back("random dag " + std::to_string(i),
                         RandomDag(rng, 1 + static_cast<int>(rng.NextBelow(60))));
   }
-  // Widths that are not multiples of the 16-wide packed panel (the fuser
-  // declines them, so attention runs unfused) next to panel multiples.
+  // Widths that are not multiples of the 16-wide packed panel (their
+  // combined q|k|v pack has panels straddling q, k and v) next to panel
+  // multiples.
   struct Widths {
     std::int64_t dagt_dim, dagt_heads, gcn_dim, gat_dim;
   };
@@ -362,26 +363,68 @@ PredictorOptions PaperOptions() {
   return options;
 }
 
+/// Number of kFusedAttention steps in the program `model` ran on `g`.
+int FusedAttentionSteps(const StagePredictor& model, const graph::EncodedGraph& g) {
+  const auto program = compile::ProgramCache::Global().Lookup(
+      model.InstanceId(), g.num_nodes, static_cast<std::int64_t>(g.edge_src.size()));
+  if (program == nullptr) return -1;
+  int fused = 0;
+  for (const compile::Step& s : program->steps) {
+    fused += s.kind == compile::OpKind::kFusedAttention ? 1 : 0;
+  }
+  return fused;
+}
+
 TEST(FusedParity, PaperScaleGraphTakesFusedKernelAndMatchesTape) {
   const graph::EncodedGraph& g = PaperScaleStage();
-  const std::int64_t n = g.num_nodes;
-  // Preconditions for the fused kernel (dim 64, head_dim 16).
-  ASSERT_TRUE(tensor::UsePackedGemm(n, 64, 64));
-  ASSERT_TRUE(tensor::UsePackedGemm(n, 16, n));
-  ASSERT_TRUE(tensor::UsePackedGemm(n, n, 16));
   for (const bool use_dagra : {true, false}) {
     PredictorOptions options = PaperOptions();
     options.use_dagra = use_dagra;
     auto model = MakePredictor(PredictorKind::kDagTransformer, options);
     ExpectMatchesTape(*model, g, use_dagra ? "dagra" : "no dagra");
-    const auto program = compile::ProgramCache::Global().Lookup(
-        model->InstanceId(), n, static_cast<std::int64_t>(g.edge_src.size()));
-    ASSERT_NE(program, nullptr);
-    int fused = 0;
-    for (const compile::Step& s : program->steps) {
-      fused += s.kind == compile::OpKind::kFusedAttention ? 1 : 0;
+    EXPECT_EQ(FusedAttentionSteps(*model, g), 4) << "expected every layer's attention to fuse";
+  }
+}
+
+TEST(FusedParity, NarrowHeadsAndInexactScalesTakeFusedKernel) {
+  // The plan search's shapes: head dim 8 (below one packed panel, with the
+  // inexact logit scale 1/sqrt(8)) next to head dim 16, on GPT-3 stages of
+  // 62, 230 and 846 nodes.
+  std::vector<graph::EncodedGraph> graphs;
+  for (const ir::StageSlice slice : {ir::StageSlice{0, 1}, ir::StageSlice{0, 4},
+                                     ir::StageSlice{0, 15}}) {
+    graphs.push_back(EncodeStage(ir::BuildGpt3Stage(ir::Gpt3Config{}, slice)));
+  }
+  util::ThreadPool four(4);
+  struct Shape {
+    std::int64_t dim, heads;
+  };
+  for (const Shape shape : {Shape{16, 2}, Shape{32, 4}, Shape{48, 3}}) {
+    for (const bool use_dagra : {true, false}) {
+      PredictorOptions options = PaperOptions();
+      options.dagt_dim = shape.dim;
+      options.dagt_heads = shape.heads;
+      options.dagt_layers = 2;
+      options.use_dagra = use_dagra;
+      LatencyRegressor regressor(PredictorKind::kDagTransformer, options);
+      StagePredictor& model = regressor.Model();
+      const std::string what = "dim=" + std::to_string(shape.dim) +
+                               " heads=" + std::to_string(shape.heads) +
+                               (use_dagra ? " dagra" : " no dagra");
+      std::vector<double> expected;
+      for (const graph::EncodedGraph& g : graphs) {
+        ExpectMatchesTape(model, g, what + " n=" + std::to_string(g.num_nodes));
+        EXPECT_EQ(FusedAttentionSteps(model, g), 2)
+            << what << " n=" << g.num_nodes << ": every layer's attention must fuse";
+        expected.push_back(regressor.PredictSeconds(g));
+      }
+      const std::vector<double> batched =
+          regressor.PredictBatch(std::span<const graph::EncodedGraph>(graphs), &four);
+      ASSERT_EQ(batched.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(batched[i], expected[i]) << what << " batch i=" << i;
+      }
     }
-    EXPECT_EQ(fused, 4) << "expected every layer's attention to fuse";
   }
 }
 

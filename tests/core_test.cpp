@@ -194,6 +194,108 @@ TEST(Regressor, RejectsEmptyTrainingSet) {
   EXPECT_THROW(regressor.Fit(dataset, {}, {}, {}), std::invalid_argument);
 }
 
+// ---- GCN through the shared transpose ----
+
+/// `g` with Â^T rebuilt as a separate, explicitly transposed matrix: the
+/// layout of an encoder that does not share the symmetric Â with its
+/// transpose.
+graph::EncodedGraph WithExplicitTranspose(const graph::EncodedGraph& g) {
+  graph::EncodedGraph out = g;
+  out.adj_norm_t = std::make_shared<tensor::Csr>(g.adj_norm->Transposed());
+  return out;
+}
+
+/// The tape output followed by every parameter gradient of one backward.
+std::vector<tensor::Tensor> OutputAndGradients(StagePredictor& model,
+                                               const graph::EncodedGraph& g) {
+  model.ZeroGrad();
+  const autograd::Variable out = model.Forward(g);
+  autograd::Backward(out);
+  std::vector<tensor::Tensor> result{out.value()};
+  for (const autograd::Variable* p : model.Parameters()) result.push_back(p->grad());
+  return result;
+}
+
+void ExpectSameBits(const tensor::Tensor& got, const tensor::Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.numel(), want.numel()) << what;
+  EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                        want.data().size() * sizeof(float)),
+            0)
+      << what;
+}
+
+TEST(GcnSharedTranspose, GradientsAndFitMatchExplicitTranspose) {
+  const graph::EncodedGraph shared = EncodeStage(ir::BuildGpt3Stage(TinyGptConfig(), {0, 2}));
+  ASSERT_EQ(shared.adj_norm_t, shared.adj_norm) << "the encoder shares Â as its transpose";
+  const graph::EncodedGraph separate = WithExplicitTranspose(shared);
+
+  // Output and gradients are bit-equal whichever matrix the backward reads.
+  auto model = MakePredictor(PredictorKind::kGcn, TinyOptions());
+  const std::vector<tensor::Tensor> got = OutputAndGradients(*model, shared);
+  const std::vector<tensor::Tensor> want = OutputAndGradients(*model, separate);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ExpectSameBits(got[i], want[i], i == 0 ? "output" : "grad " + std::to_string(i - 1));
+  }
+
+  // The analytic gradients through the shared transpose match central
+  // differences (a few elements per parameter).
+  const std::vector<autograd::Variable*> params = model->Parameters();
+  const auto forward = [&] { return static_cast<double>(model->Forward(shared).value().data()[0]); };
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    const tensor::Tensor& analytic = got[p + 1];
+    const std::int64_t count = std::min<std::int64_t>(3, analytic.numel());
+    for (std::int64_t e = 0; e < count; ++e) {
+      const std::int64_t i = e * std::max<std::int64_t>(1, analytic.numel() / count);
+      float& slot = params[p]->mutable_value().data()[static_cast<std::size_t>(i)];
+      const float saved = slot;
+      constexpr float kEps = 1e-2f;
+      slot = saved + kEps;
+      const double up = forward();
+      slot = saved - kEps;
+      const double down = forward();
+      slot = saved;
+      const double numeric = (up - down) / (2.0 * kEps);
+      EXPECT_NEAR(analytic.data()[static_cast<std::size_t>(i)], numeric,
+                  5e-2 * std::max(1.0, std::fabs(numeric)))
+          << "param " << p << " elem " << i;
+    }
+  }
+
+  // One Fit step from identical weights: the same loss and the same weights.
+  StageDataset with_shared;
+  StageDataset with_separate;
+  for (const ir::StageSlice slice : {ir::StageSlice{0, 1}, ir::StageSlice{1, 3},
+                                     ir::StageSlice{0, 2}}) {
+    StageSample sample;
+    sample.slice = slice;
+    sample.encoded = EncodeStage(ir::BuildGpt3Stage(TinyGptConfig(), slice));
+    with_shared.labels.push_back(1e-3f * static_cast<float>(slice.NumLayers()));
+    with_separate.labels.push_back(with_shared.labels.back());
+    with_separate.samples.push_back(sample);
+    with_separate.samples.back().encoded = WithExplicitTranspose(sample.encoded);
+    with_shared.samples.push_back(std::move(sample));
+  }
+  nn::TrainConfig train;
+  train.max_epochs = 1;
+  train.batch_size = 3;
+  const std::vector<std::size_t> idx{0, 1, 2};
+  LatencyRegressor a(PredictorKind::kGcn, TinyOptions());
+  LatencyRegressor b(PredictorKind::kGcn, TinyOptions());
+  const nn::TrainResult ra = a.Fit(with_shared, idx, idx, train);
+  const nn::TrainResult rb = b.Fit(with_separate, idx, idx, train);
+  ASSERT_EQ(ra.train_loss_history.size(), 1u);
+  EXPECT_EQ(ra.train_loss_history, rb.train_loss_history);
+  EXPECT_EQ(ra.val_loss_history, rb.val_loss_history);
+  const std::vector<tensor::Tensor> wa = a.Model().SnapshotParameters();
+  const std::vector<tensor::Tensor> wb = b.Model().SnapshotParameters();
+  ASSERT_EQ(wa.size(), wb.size());
+  for (std::size_t i = 0; i < wa.size(); ++i) {
+    ExpectSameBits(wa[i], wb[i], "weight " + std::to_string(i) + " after one step");
+  }
+}
+
 // ---- grey box ----
 
 TEST(GreyBox, ComposesPredictionsWithEqn4) {

@@ -1,18 +1,28 @@
 // Tests for the operator-DAG representation and its predictor-facing
-// encodings: reachability (DAGRA), depth (DAGPE), pruning, features.
+// encodings: reachability (DAGRA), depth (DAGPE), pruning, features, the
+// GCN adjacency against a COO reference, and pinned fingerprint values.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/depth.h"
 #include "graph/encode.h"
+#include "graph/fingerprint.h"
 #include "graph/op_dag.h"
 #include "graph/prune.h"
 #include "graph/reachability.h"
+#include "ir/models.h"
+#include "ir/to_dag.h"
+#include "ir/types.h"
+#include "tensor/sparse.h"
 #include "util/rng.h"
 
 namespace predtop::graph {
@@ -405,6 +415,134 @@ TEST(EncodeGraph, GcnAdjacencyIsSymmetricallyNormalized) {
   const auto& adj = *g.adj_norm;
   EXPECT_EQ(adj.Nnz(), 4u);
   for (const float v : adj.values) EXPECT_NEAR(v, 0.5f, 1e-6f);
+}
+
+/// Â the way a generic sparse builder makes it: COO triplets of both edge
+/// directions plus self-loops, valued 1/sqrt(d_u * d_v), through
+/// Csr::FromCoo (which sorts and merges duplicates).
+tensor::Csr CooReferenceAdjacency(const OpDag& dag) {
+  const auto n = dag.NumNodes();
+  std::vector<std::int32_t> rows, cols;
+  std::vector<std::int32_t> degree(static_cast<std::size_t>(n), 1);
+  for (const auto& [u, v] : dag.Edges()) {
+    rows.insert(rows.end(), {u, v});
+    cols.insert(cols.end(), {v, u});
+    ++degree[static_cast<std::size_t>(u)];
+    ++degree[static_cast<std::size_t>(v)];
+  }
+  for (std::int32_t i = 0; i < n; ++i) {
+    rows.push_back(i);
+    cols.push_back(i);
+  }
+  std::vector<float> values;
+  for (std::size_t e = 0; e < rows.size(); ++e) {
+    const float du = static_cast<float>(degree[static_cast<std::size_t>(rows[e])]);
+    const float dv = static_cast<float>(degree[static_cast<std::size_t>(cols[e])]);
+    values.push_back(1.0f / std::sqrt(du * dv));
+  }
+  return tensor::Csr::FromCoo(n, n, rows, cols, values);
+}
+
+void ExpectSameCsr(const tensor::Csr& got, const tensor::Csr& want, const std::string& what) {
+  EXPECT_EQ(got.rows, want.rows) << what;
+  EXPECT_EQ(got.cols, want.cols) << what;
+  EXPECT_EQ(got.row_ptr, want.row_ptr) << what;
+  EXPECT_EQ(got.col_idx, want.col_idx) << what;
+  ASSERT_EQ(got.values.size(), want.values.size()) << what;
+  EXPECT_EQ(std::memcmp(got.values.data(), want.values.data(),
+                        want.values.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+/// Random DAG over shuffled node ids with edges inserted in random order, so
+/// adjacency lists are unsorted and edges run both up and down the ids.
+OpDag ShuffledDag(std::int32_t n, double edge_prob, Rng& rng) {
+  std::vector<std::int32_t> id(static_cast<std::size_t>(n));
+  std::iota(id.begin(), id.end(), 0);
+  for (std::int32_t i = n - 1; i > 0; --i) {
+    std::swap(id[static_cast<std::size_t>(i)],
+              id[static_cast<std::size_t>(rng.NextBelow(static_cast<std::uint64_t>(i) + 1))]);
+  }
+  std::vector<std::pair<std::int32_t, std::int32_t>> edges;
+  for (std::int32_t u = 0; u < n; ++u) {
+    for (std::int32_t v = u + 1; v < n; ++v) {
+      if (rng.NextDouble() < edge_prob) {
+        edges.emplace_back(id[static_cast<std::size_t>(u)], id[static_cast<std::size_t>(v)]);
+      }
+    }
+  }
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[static_cast<std::size_t>(rng.NextBelow(i))]);
+  }
+  OpDag dag;
+  for (std::int32_t i = 0; i < n; ++i) dag.AddNode({});
+  for (const auto& [u, v] : edges) dag.AddEdge(u, v);
+  return dag;
+}
+
+TEST(EncodeGraph, AdjacencyMatchesCooReference) {
+  // Â is built row by row from the DAG's adjacency lists; it must equal the
+  // generic COO build bit for bit, and Â^T must equal its transpose.
+  Rng rng(0xad7);
+  std::vector<std::pair<std::string, OpDag>> dags;
+  for (int i = 0; i < 8; ++i) {
+    const auto n = static_cast<std::int32_t>(1 + rng.NextBelow(90));
+    dags.emplace_back("random " + std::to_string(i), RandomDag(n, 0.1, rng));
+    dags.emplace_back("shuffled " + std::to_string(i), ShuffledDag(n, 0.15, rng));
+  }
+  for (const ir::StageSlice slice : {ir::StageSlice{0, 1}, ir::StageSlice{0, 4},
+                                     ir::StageSlice{3, 9}, ir::StageSlice{0, 24}}) {
+    dags.emplace_back("gpt3 " + std::to_string(slice.first_layer) + "-" +
+                          std::to_string(slice.last_layer),
+                      ir::BuildPrunedOpDag(ir::BuildGpt3Stage(ir::Gpt3Config{}, slice)));
+  }
+  for (const ir::StageSlice slice : {ir::StageSlice{0, 2}, ir::StageSlice{5, 11}}) {
+    dags.emplace_back("moe " + std::to_string(slice.first_layer) + "-" +
+                          std::to_string(slice.last_layer),
+                      ir::BuildPrunedOpDag(ir::BuildMoeStage(ir::MoeConfig{}, slice)));
+  }
+  for (const auto& [what, dag] : dags) {
+    const EncodedGraph g = EncodeGraph(dag, ir::kNumOpTypes, ir::kNumDTypes);
+    ASSERT_NE(g.adj_norm, nullptr) << what;
+    ASSERT_NE(g.adj_norm_t, nullptr) << what;
+    const tensor::Csr want = CooReferenceAdjacency(dag);
+    ExpectSameCsr(*g.adj_norm, want, what + " adj_norm");
+    ExpectSameCsr(*g.adj_norm_t, g.adj_norm->Transposed(), what + " adj_norm_t");
+  }
+}
+
+TEST(Fingerprint, ValuesArePinned) {
+  // Fingerprints are cluster routing and cache keys: a faster encoder must
+  // keep their values. Golden values for the default GPT-3 / MoE configs.
+  struct Golden {
+    std::string what;
+    OpDag dag;
+    std::uint64_t fingerprint;
+    std::uint64_t dag_fingerprint;
+  };
+  const Golden cases[] = {
+      {"gpt3 0-1", ir::BuildPrunedOpDag(ir::BuildGpt3Stage(ir::Gpt3Config{}, {0, 1})),
+       0xa5b80a3344983f6bULL, 0xffb3138b6a588cb2ULL},
+      {"gpt3 0-4", ir::BuildPrunedOpDag(ir::BuildGpt3Stage(ir::Gpt3Config{}, {0, 4})),
+       0x8dcce62ac9fef7b3ULL, 0x1111e870d623775bULL},
+      {"moe 0-2", ir::BuildPrunedOpDag(ir::BuildMoeStage(ir::MoeConfig{}, {0, 2})),
+       0x91f5f7a05556ce3dULL, 0x51a33b455a8740fcULL},
+  };
+  for (const Golden& c : cases) {
+    const EncodedGraph g = EncodeGraph(c.dag, ir::kNumOpTypes, ir::kNumDTypes);
+    EXPECT_EQ(g.fingerprint, c.fingerprint) << c.what;
+    EXPECT_EQ(DagFingerprint(c.dag), c.dag_fingerprint) << c.what;
+    // A hand-assembled copy with the cache cleared recomputes the same value.
+    EncodedGraph copy;
+    copy.num_nodes = g.num_nodes;
+    copy.features = g.features;
+    copy.depths = g.depths;
+    copy.edge_src = g.edge_src;
+    copy.edge_dst = g.edge_dst;
+    ASSERT_EQ(copy.fingerprint, 0u);
+    EXPECT_EQ(EncodedGraphFingerprint(copy), c.fingerprint) << c.what;
+  }
 }
 
 }  // namespace

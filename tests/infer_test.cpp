@@ -242,44 +242,36 @@ TEST(InferParity, EncodeGraphCachesFingerprint) {
   EXPECT_EQ(graph::EncodedGraphFingerprint(g), cached);
 }
 
-// ---- deferred softmax masked retry (regression) ----
+// ---- masked softmax row: masked overflow (regression) ----
 
 TEST(InferKernels, RowSoftmaxDeferredMaskedRetryHasNoNaN) {
-  // tensor::fused::DeferredSoftmaxRowChunks is the deferred-normalization
-  // softmax of the fused attention kernel; it reads only the open-lane runs
-  // of the reachability mask.
+  // tensor::fused::MaskedSoftmaxRow is the softmax of the fused attention
+  // kernel; it reads only the lanes the reachability mask leaves open.
   const float inf = std::numeric_limits<float>::infinity();
-  std::vector<float> logits(12, 0.0f);
+  std::vector<float> weights(12, 0.0f);
   // Row 0: an overflowed +inf logit sits under a masked lane (lane 0). A
   // softmax that adds the -inf mask to it, or lets it set the exp shift,
   // turns the row into NaN or all-zero weights.
-  logits[0] = inf;
-  const std::int32_t row0_runs[] = {1, 4};
-  // Row 1: fully masked (no open runs).
-  // Row 2: ordinary open row.
-  for (int j = 0; j < 4; ++j) logits[8 + j] = static_cast<float>(j);
-  const std::int32_t row2_runs[] = {0, 4};
-  std::vector<float> weights(12, -1.0f);
-  float inv_sum[3] = {-1.0f, -1.0f, -1.0f};
-  tensor::fused::DeferredSoftmaxRowChunks(logits.data(), weights.data(), 4, row0_runs, 1,
-                                          &inv_sum[0]);
-  tensor::fused::DeferredSoftmaxRowChunks(logits.data() + 4, weights.data() + 4, 4, nullptr,
-                                          0, &inv_sum[1]);
-  tensor::fused::DeferredSoftmaxRowChunks(logits.data() + 8, weights.data() + 8, 4, row2_runs,
-                                          1, &inv_sum[2]);
+  weights[0] = inf;
+  const std::uint64_t row0_bits = 0b1110;
+  // Row 1: fully masked (no open lane).
+  const std::uint64_t row1_bits = 0;
+  // Row 2: ordinary open row (no mask).
+  for (int j = 0; j < 4; ++j) weights[8 + j] = static_cast<float>(j);
+  tensor::fused::MaskedSoftmaxRow(weights.data(), 4, &row0_bits, 1.0f, 0, 4);
+  tensor::fused::MaskedSoftmaxRow(weights.data() + 4, 4, &row1_bits, 1.0f, 0, 4);
+  tensor::fused::MaskedSoftmaxRow(weights.data() + 8, 4, nullptr, 1.0f, 0, 4);
   for (std::int64_t i = 0; i < 12; ++i) {
     ASSERT_TRUE(std::isfinite(weights[i])) << "weight " << i;
   }
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(std::isfinite(inv_sum[i])) << "row " << i;
   // Row 0 normalizes over its three open lanes.
   EXPECT_EQ(weights[0], 0.0f);  // the masked lane contributes nothing
-  for (int j = 1; j < 4; ++j) EXPECT_FLOAT_EQ(weights[j] * inv_sum[0], 1.0f / 3.0f);
-  // Row 1 is fully masked: all-zero weights with inv_sum exactly 0.
-  EXPECT_EQ(inv_sum[1], 0.0f);
+  for (int j = 1; j < 4; ++j) EXPECT_FLOAT_EQ(weights[j], 1.0f / 3.0f);
+  // Row 1 is fully masked: all-zero weights.
   for (int j = 0; j < 4; ++j) EXPECT_EQ(weights[4 + j], 0.0f);
   // Row 2 behaves like an ordinary softmax row.
   float total = 0.0f;
-  for (int j = 0; j < 4; ++j) total += weights[8 + j] * inv_sum[2];
+  for (int j = 0; j < 4; ++j) total += weights[8 + j];
   EXPECT_NEAR(total, 1.0f, 1e-6f);
 }
 

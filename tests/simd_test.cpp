@@ -1,14 +1,22 @@
 // Tests for the explicit-SIMD helpers against scalar references: these
 // kernels sit under every hot path of predictor training, so they get their
 // own exhaustive sweeps (lengths crossing vector-width boundaries, subnormal
-// and -inf inputs for the exp approximation).
+// and -inf inputs for the exp approximation). The compiled attention's
+// windowed kernels are checked bit for bit against the whole-row kernels
+// the autograd tape runs (simd::Dot, tensor::RowSoftmax).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "tensor/fused.h"
+#include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "util/rng.h"
 
@@ -89,6 +97,81 @@ TEST(SimdExp, ScalarVariantAgreesWithVector) {
 TEST(SimdDot, ZeroLengthIsZero) {
   EXPECT_EQ(Dot(nullptr, nullptr, 0), 0.0f);
   EXPECT_EQ(Sum(nullptr, 0), 0.0f);
+}
+
+constexpr int kRowLengths[] = {1, 5, 8, 13, 16, 17, 24, 31, 32, 40, 100, 230, 846};
+
+TEST(SimdDot, WindowColumnsMatchDotBitForBit) {
+  // a is zero outside [lo, hi); every column must equal a whole-span Dot.
+  util::Rng rng(0xd07);
+  for (const int n : kRowLengths) {
+    for (const int cols : {1, 3, 8, 11}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        const auto lo = static_cast<std::int64_t>(rng.NextBelow(static_cast<std::uint64_t>(n) + 1));
+        const auto hi =
+            lo + static_cast<std::int64_t>(rng.NextBelow(static_cast<std::uint64_t>(n - lo) + 1));
+        std::vector<float> a(static_cast<std::size_t>(n), 0.0f);
+        for (std::int64_t i = lo; i < hi; ++i) {
+          a[static_cast<std::size_t>(i)] = static_cast<float>(rng.Normal());
+        }
+        std::vector<float> bt(static_cast<std::size_t>(cols * n));
+        for (float& v : bt) v = static_cast<float>(rng.Normal());
+        std::vector<float> out(static_cast<std::size_t>(cols), -1.0f);
+        DotWindowColumns(a.data(), bt.data(), n, cols, n, lo, hi, out.data());
+        for (int j = 0; j < cols; ++j) {
+          const float want = Dot(a.data(), bt.data() + j * n, n);
+          EXPECT_EQ(std::memcmp(&out[static_cast<std::size_t>(j)], &want, sizeof want), 0)
+              << "n=" << n << " cols=" << cols << " window=[" << lo << "," << hi << ") j=" << j
+              << ": " << out[static_cast<std::size_t>(j)] << " vs " << want;
+        }
+      }
+    }
+  }
+}
+
+TEST(MaskedSoftmaxRow, MatchesTapeRowSoftmaxBitForBit) {
+  // The tape's attention softmax: RowSoftmax of the scaled logits under the
+  // additive 0 / -inf mask, over the whole row.
+  util::Rng rng(0x50f7);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float scale = 1.0f / std::sqrt(8.0f);
+  for (const int n : kRowLengths) {
+    for (const double density : {0.0, 0.05, 0.3, 0.9, 1.0}) {
+      const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+      std::vector<std::uint64_t> bits(words, 0);
+      for (int j = 0; j < n; ++j) {
+        if (rng.NextDouble() < density) bits[static_cast<std::size_t>(j) / 64] |= 1ULL << (j % 64);
+      }
+      std::vector<float> logits(static_cast<std::size_t>(n));
+      for (float& v : logits) v = static_cast<float>(3.0 * rng.Normal());
+      Tensor scaled({1, n});
+      Tensor mask({1, n});
+      std::int64_t first = n, last = -1;
+      for (int j = 0; j < n; ++j) {
+        const bool open = density == 1.0 || ((bits[static_cast<std::size_t>(j) / 64] >> (j % 64)) & 1);
+        scaled.at(0, j) = logits[static_cast<std::size_t>(j)] * scale;
+        mask.at(0, j) = open ? 0.0f : -inf;
+        if (open) {
+          first = std::min<std::int64_t>(first, j);
+          last = j;
+        }
+      }
+      const Tensor want = RowSoftmax(scaled, &mask);
+      // The compiled executor's span: the open lanes' hull widened to whole
+      // 16-lane groups.
+      const std::int64_t lo = first / 16 * 16;
+      const std::int64_t hi = std::min<std::int64_t>(n, (last + 1 + 15) / 16 * 16);
+      std::vector<float> got = logits;
+      fused::MaskedSoftmaxRow(got.data(), n, density == 1.0 ? nullptr : bits.data(), scale,
+                              std::min(lo, hi), hi);
+      const std::string what = "n=" + std::to_string(n) + " density=" + std::to_string(density);
+      for (std::int64_t j = std::min(lo, hi); j < hi; ++j) {
+        const float w = want.at(0, j);
+        EXPECT_EQ(std::memcmp(&got[static_cast<std::size_t>(j)], &w, sizeof w), 0)
+            << what << " lane " << j << ": " << got[static_cast<std::size_t>(j)] << " vs " << w;
+      }
+    }
+  }
 }
 
 }  // namespace
