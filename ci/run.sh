@@ -38,9 +38,11 @@
 #                        vs per-query Predict), the fast-path parity suite,
 #                        the bit-packed DAGRA mask vs a DFS oracle, the GCN
 #                        adjacency vs a COO reference, pinned fingerprints,
-#                        the GCN backward through the shared transpose and the
-#                        plan search's parallel memo fill vs standalone
-#                        encodings, then the fig10 engine drill on both paper
+#                        the GCN backward through the shared transpose, the
+#                        plan search's parallel memo fill and shared
+#                        per-computation encodings vs standalone encodings,
+#                        the stage-program computation identity, then the
+#                        fig10 engine drill on both paper
 #                        platforms with PREDTOP_AUTOTUNE=1 (batch-oracle plan
 #                        bit-equal to the per-query plan and matching a
 #                        tape-priced plan)
@@ -84,7 +86,7 @@ if [[ "${1:-}" == "engine" ]]; then
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
     --target compile_test serve_test infer_test graph_test core_test simd_test \
-    fig10_optimization
+    ir_test fig10_optimization
   # All of compile_test, including FusedParity.* (the fused attention at the
   # plan search's narrow heads and inexact scales, vs the tape), and the
   # attention's windowed kernels against the whole-row ones the tape runs.
@@ -94,11 +96,13 @@ if [[ "${1:-}" == "engine" ]]; then
   ./build-asan/tests/infer_test --gtest_filter='InferParity.*:PackedGemm.*'
   # The bit-packed DAGRA mask against a DFS oracle, the GCN adjacency against
   # a COO reference, pinned fingerprints, the GCN backward through the shared
-  # transpose, and the plan search's parallel memo fill against standalone
-  # encodings.
+  # transpose, the plan search's parallel memo fill and its shared
+  # per-computation encodings against standalone encodings, and the
+  # stage-program identity they are keyed by.
   ./build-asan/tests/graph_test --gtest_filter='DagraMask.*:EncodeGraph.*:Fingerprint.*'
   ./build-asan/tests/core_test \
-    --gtest_filter='PlanSearch.ParallelMemoFillMatchesStandaloneEncoding:GcnSharedTranspose.*'
+    --gtest_filter='PlanSearch.ParallelMemoFillMatchesStandaloneEncoding:PlanSearch.SharedEncodingsMatchStandaloneAcrossModels:EncodingTable.*:GcnSharedTranspose.*'
+  ./build-asan/tests/ir_test --gtest_filter='StageProgram.*'
   # Plan search on both paper platforms through the per-query oracle, the
   # batch oracle and a tape-priced oracle, with the runtime autotuner on:
   # batch == per-query to the bit, and batch matches the tape plan.
@@ -110,7 +114,7 @@ if [[ "${1:-}" == "tsan" ]]; then
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "$(nproc)" \
     --target util_test serve_test parallel_test infer_test cluster_test \
-    autograd_test nn_test online_test compile_test graph_test core_test
+    autograd_test nn_test online_test compile_test graph_test core_test ir_test
   export TSAN_OPTIONS="halt_on_error=1"
   ./build-tsan/tests/util_test
   ./build-tsan/tests/parallel_test
@@ -122,9 +126,11 @@ if [[ "${1:-}" == "tsan" ]]; then
   ./build-tsan/tests/online_test
   # PredictMany interleaves its misses' forwards on the service pool.
   ./build-tsan/tests/serve_test --gtest_filter='LruCache.*:Service.*:ServingOracle.PredictBatchMatchesScalarQueries:ThreadPool.*'
-  # The plan search's parallel memo fill (programs, then encodings, on a pool
-  # scoped to the call) and the bit-packed mask it builds.
-  ./build-tsan/tests/core_test --gtest_filter='PlanSearch.ParallelMemoFillMatchesStandaloneEncoding'
+  # The plan search's parallel memo fill (programs and their hashes, then
+  # one encoding per distinct computation, on a pool scoped to the call),
+  # the identity it groups by, and the bit-packed mask it builds.
+  ./build-tsan/tests/core_test --gtest_filter='PlanSearch.ParallelMemoFillMatchesStandaloneEncoding:PlanSearch.SharedEncodingsMatchStandaloneAcrossModels:EncodingTable.*'
+  ./build-tsan/tests/ir_test --gtest_filter='StageProgram.*'
   ./build-tsan/tests/graph_test --gtest_filter='DagraMask.*:EncodeGraph.*'
   # Concurrent compiled forwards on one shared model (per-thread plan
   # buffers, lazy packed-weight snapshots) plus the parity suites that drive
@@ -140,12 +146,13 @@ if [[ "${1:-}" == "tsan" ]]; then
   # Router concurrency: the cluster-wide coalescing map, per-worker
   # connection locking and failover counters under concurrent clients, plus
   # the overload-protection suites (deadline shedding, admission budgets,
-  # per-attempt timeouts / breaker trips, connection-thread reaping).
+  # per-attempt timeouts / breaker trips, connection-thread reaping) and a
+  # worker's shared encodings under concurrent EncodedFor calls.
   # ClusterProcess/SupervisorProcess are excluded — fork/exec and TSan do
   # not mix; the in-process LocalCluster drives identical code paths on
   # threads.
   ./build-tsan/tests/cluster_test \
-    --gtest_filter='ClusterE2E.*:Ring.*:Deadline.*:Admission.*:RouterTimeout.*:WorkerReap.*'
+    --gtest_filter='ClusterE2E.*:Ring.*:Deadline.*:Admission.*:RouterTimeout.*:WorkerReap.*:WorkerEncoding.*'
 fi
 
 if [[ "${1:-}" == "perf" ]]; then

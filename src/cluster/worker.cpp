@@ -197,10 +197,11 @@ Frame Worker::Dispatch(const Frame& request) {
 
 const graph::EncodedGraph& Worker::EncodedFor(ir::StageSlice slice) {
   const std::scoped_lock lock(encode_mutex_);
-  const auto key = std::make_pair(slice.first_layer, slice.last_layer);
-  if (const auto it = encoded_.find(key); it != encoded_.end()) return it->second;
-  return encoded_.emplace(key, core::EncodeStage(options_.benchmark.build_stage(slice)))
-      .first->second;
+  core::EncodingTable::Encoding& encoded = encoded_[{slice.first_layer, slice.last_layer}];
+  if (!encoded) {
+    encoded = encodings_.Encode(core::HashedProgram::Of(options_.benchmark.build_stage(slice)));
+  }
+  return *encoded;
 }
 
 Frame Worker::HandlePredict(const Frame& request) {

@@ -42,6 +42,7 @@
 #include "cluster/transport.h"
 #include "cluster/wire.h"
 #include "core/dataset.h"
+#include "core/encoding_table.h"
 #include "fault/status.h"
 #include "serve/registry.h"
 #include "serve/service.h"
@@ -123,6 +124,12 @@ class Worker {
   /// has been served yet.
   [[nodiscard]] std::uint64_t ServiceLatencyPercentileUs(double p) const;
 
+  /// Memoized slice -> encoded predictor input, shared by all connection
+  /// threads (mutex-serialized). Slices whose programs compute the same
+  /// thing share one encoding (core::EncodingTable), so the worker holds at
+  /// most one per distinct stage program. Valid for the worker's lifetime.
+  [[nodiscard]] const graph::EncodedGraph& EncodedFor(ir::StageSlice slice);
+
  private:
   void ServeConnection(Socket socket, std::uint64_t serial, bool over_budget);
   /// Join and forget connection threads whose ServeConnection has returned.
@@ -131,9 +138,6 @@ class Worker {
   [[nodiscard]] Frame HandlePredict(const Frame& request);
   [[nodiscard]] Frame HandleHealth(const Frame& request);
   [[nodiscard]] Frame HandleStats(const Frame& request);
-  /// Memoized slice -> encoded predictor input (mutex-serialized; the
-  /// encoder is shared by all connection threads).
-  [[nodiscard]] const graph::EncodedGraph& EncodedFor(ir::StageSlice slice);
   void RequestStop() noexcept;
 
   WorkerOptions options_;
@@ -161,7 +165,8 @@ class Worker {
   std::vector<int> live_fds_;  // shut down by RequestStop to unblock reads
 
   std::mutex encode_mutex_;
-  std::map<std::pair<std::int32_t, std::int32_t>, graph::EncodedGraph> encoded_;
+  core::EncodingTable encodings_;  // under encode_mutex_
+  std::map<std::pair<std::int32_t, std::int32_t>, core::EncodingTable::Encoding> encoded_;
 };
 
 /// Process entry point of the standalone worker binary (and of test child

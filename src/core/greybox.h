@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/encoding_table.h"
 #include "core/regressor.h"
 #include "parallel/plan.h"
 
@@ -30,7 +31,8 @@ class GreyBoxEstimator {
  private:
   BenchmarkModel benchmark_;
   std::vector<std::pair<sim::Mesh, std::shared_ptr<LatencyRegressor>>> regressors_;
-  std::map<std::pair<std::int32_t, std::int32_t>, graph::EncodedGraph> encoded_cache_;
+  EncodingTable encodings_;
+  std::map<std::pair<std::int32_t, std::int32_t>, EncodingTable::Encoding> encoded_cache_;
 };
 
 }  // namespace predtop::core

@@ -1,7 +1,6 @@
 #include "core/plan_search.h"
 
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "ir/stages.h"
@@ -49,49 +48,55 @@ std::int32_t PlanSearch::EffectiveMaxSpan() const noexcept {
 }
 
 const ir::StageProgram& PlanSearch::ProgramFor(ir::StageSlice slice) {
-  const auto key = SliceKey(slice);
+  return *HashedProgramFor(slice).program;
+}
+
+const HashedProgram& PlanSearch::HashedProgramFor(ir::StageSlice slice) {
+  const auto make = [this](ir::StageSlice s) {
+    return HashedProgram::Of(benchmark_.build_stage(s));
+  };
   if (!programs_filled_ && slice.NumLayers() <= EffectiveMaxSpan()) {
     programs_filled_ = true;
-    FillInParallel(program_cache_,
-                   [this](ir::StageSlice s) { return benchmark_.build_stage(s); });
+    std::vector<ir::StageSlice> missing;
+    for (const ir::StageSlice s :
+         ir::EnumerateStageSlices(benchmark_.num_layers, EffectiveMaxSpan())) {
+      if (!program_cache_.contains(SliceKey(s))) missing.push_back(s);
+    }
+    std::vector<HashedProgram> made(missing.size());
+    util::ThreadPool pool(0);
+    pool.ParallelFor(missing.size(), [&](std::size_t i) { made[i] = make(missing[i]); });
+    for (std::size_t i = 0; i < missing.size(); ++i) {
+      program_cache_.emplace(SliceKey(missing[i]), std::move(made[i]));
+    }
   }
-  auto it = program_cache_.find(key);
-  if (it == program_cache_.end()) {
-    it = program_cache_.emplace(key, benchmark_.build_stage(slice)).first;
-  }
+  auto it = program_cache_.find(SliceKey(slice));
+  if (it == program_cache_.end()) it = program_cache_.emplace(SliceKey(slice), make(slice)).first;
   return it->second;
 }
 
 const graph::EncodedGraph& PlanSearch::EncodedFor(ir::StageSlice slice) {
-  const auto key = SliceKey(slice);
   if (!encoded_filled_ && slice.NumLayers() <= EffectiveMaxSpan()) {
     encoded_filled_ = true;
     (void)ProgramFor(slice);  // the program fill runs first, on its own
-    FillInParallel(encoded_cache_, [this](ir::StageSlice s) {
-      return EncodeStage(program_cache_.at(SliceKey(s)));
-    });
+    std::vector<std::pair<std::int32_t, std::int32_t>> missing;
+    std::vector<HashedProgram> programs;
+    for (const ir::StageSlice s :
+         ir::EnumerateStageSlices(benchmark_.num_layers, EffectiveMaxSpan())) {
+      if (encoded_cache_.contains(SliceKey(s))) continue;
+      missing.push_back(SliceKey(s));
+      programs.push_back(program_cache_.at(SliceKey(s)));
+    }
+    util::ThreadPool pool(0);
+    std::vector<EncodingTable::Encoding> encoded = encodings_.Encode(programs, &pool);
+    for (std::size_t i = 0; i < missing.size(); ++i) {
+      encoded_cache_.emplace(missing[i], std::move(encoded[i]));
+    }
   }
-  auto it = encoded_cache_.find(key);
+  auto it = encoded_cache_.find(SliceKey(slice));
   if (it == encoded_cache_.end()) {
-    it = encoded_cache_.emplace(key, EncodeStage(ProgramFor(slice))).first;
+    it = encoded_cache_.emplace(SliceKey(slice), encodings_.Encode(HashedProgramFor(slice))).first;
   }
-  return it->second;
-}
-
-template <typename T, typename Make>
-void PlanSearch::FillInParallel(std::map<std::pair<std::int32_t, std::int32_t>, T>& memo,
-                                const Make& make) {
-  std::vector<ir::StageSlice> missing;
-  for (const ir::StageSlice s :
-       ir::EnumerateStageSlices(benchmark_.num_layers, EffectiveMaxSpan())) {
-    if (!memo.contains(SliceKey(s))) missing.push_back(s);
-  }
-  std::vector<std::optional<T>> made(missing.size());
-  util::ThreadPool pool(0);
-  pool.ParallelFor(missing.size(), [&](std::size_t i) { made[i].emplace(make(missing[i])); });
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    memo.emplace(SliceKey(missing[i]), std::move(*made[i]));
-  }
+  return *it->second;
 }
 
 parallel::StageLatencyResult PlanSearch::TrueStageLatency(ir::StageSlice slice, sim::Mesh mesh) {
@@ -211,15 +216,25 @@ PlanSearchResult PlanSearch::RunPredTop(PlanApproach approach) {
   const TrainedMeshPredictors trained = TrainPredictors(kind);
   result.training_wall_s = trained.training_wall_s;
 
-  // One compiled batch per mesh — the path the serving layer takes.
+  // One compiled batch per mesh — the path the serving layer takes. Slices
+  // with equal programs share one encoding, which is forwarded once.
   util::Stopwatch infer_watch;
   std::vector<const graph::EncodedGraph*> graphs;
-  graphs.reserve(all_slices.size());
-  for (const ir::StageSlice slice : all_slices) graphs.push_back(&EncodedFor(slice));
+  std::map<const graph::EncodedGraph*, std::size_t> graph_index;
+  std::vector<std::size_t> slice_graph;
+  slice_graph.reserve(all_slices.size());
+  for (const ir::StageSlice slice : all_slices) {
+    const graph::EncodedGraph* g = &EncodedFor(slice);
+    const auto [it, fresh] = graph_index.try_emplace(g, graphs.size());
+    if (fresh) graphs.push_back(g);
+    slice_graph.push_back(it->second);
+  }
   std::vector<std::vector<double>> predicted(meshes_.size());
   for (std::size_t m = 0; m < meshes_.size(); ++m) {
-    predicted[m] =
+    const std::vector<double> per_graph =
         trained.per_mesh[m]->PredictBatch(std::span<const graph::EncodedGraph* const>(graphs));
+    predicted[m].reserve(all_slices.size());
+    for (const std::size_t g : slice_graph) predicted[m].push_back(per_graph[g]);
   }
   result.inference_wall_s = infer_watch.ElapsedSeconds();
 

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 
+#include "core/encoding_table.h"
 #include "core/regressor.h"
 #include "parallel/inter_op.h"
 
@@ -94,9 +95,13 @@ class PlanSearch {
   /// miss within the max span fills the whole memo — every slice of
   /// ir::EnumerateStageSlices(num_layers, EffectiveMaxSpan()), exactly the
   /// set the DP's batch oracle asks for — in one ParallelFor over a pool
-  /// scoped to that call; results move into the memo on the calling thread.
-  /// The encoding fill runs after, and separately from, the program fill.
-  /// Slices beyond the max span stay lazy. Not thread-safe.
+  /// scoped to that call, which also hashes each program's computation;
+  /// results move into the memo on the calling thread. The encoding fill
+  /// runs after, and separately from, the program fill: slices whose
+  /// programs compute the same thing share one EncodedGraph (EncodingTable),
+  /// so each distinct stage is encoded once — 45 encodings for the 255
+  /// slices of the fig10 GPT-3 search at span 15. Slices beyond the max span
+  /// stay lazy. Not thread-safe.
   [[nodiscard]] const ir::StageProgram& ProgramFor(ir::StageSlice slice);
   [[nodiscard]] const graph::EncodedGraph& EncodedFor(ir::StageSlice slice);
 
@@ -107,19 +112,16 @@ class PlanSearch {
   [[nodiscard]] PlanSearchResult RunProfiling(PlanApproach approach);
   [[nodiscard]] PlanSearchResult RunPredTop(PlanApproach approach);
 
-  /// Build every missing in-span slice of `memo` with make(slice) in
-  /// parallel, then insert them on the calling thread.
-  template <typename T, typename Make>
-  void FillInParallel(std::map<std::pair<std::int32_t, std::int32_t>, T>& memo,
-                      const Make& make);
+  [[nodiscard]] const HashedProgram& HashedProgramFor(ir::StageSlice slice);
 
   BenchmarkModel benchmark_;
   sim::ClusterSpec cluster_;
   PlanSearchConfig config_;
   std::vector<sim::Mesh> meshes_;
   std::vector<std::unique_ptr<parallel::IntraOpCompiler>> compilers_;  // per mesh
-  std::map<std::pair<std::int32_t, std::int32_t>, ir::StageProgram> program_cache_;
-  std::map<std::pair<std::int32_t, std::int32_t>, graph::EncodedGraph> encoded_cache_;
+  std::map<std::pair<std::int32_t, std::int32_t>, HashedProgram> program_cache_;
+  EncodingTable encodings_;
+  std::map<std::pair<std::int32_t, std::int32_t>, EncodingTable::Encoding> encoded_cache_;
   bool programs_filled_ = false;
   bool encoded_filled_ = false;
   /// (slice key, mesh index) -> true latency result.

@@ -16,10 +16,17 @@ void OpDag::AddEdge(std::int32_t u, std::int32_t v) {
   const auto n = static_cast<std::int32_t>(nodes_.size());
   if (u < 0 || v < 0 || u >= n || v >= n) throw std::out_of_range("OpDag::AddEdge: bad index");
   if (u == v) throw std::invalid_argument("OpDag::AddEdge: self-loop not allowed in a DAG");
+  // u -> v exists iff v is among u's successors iff u is among v's
+  // predecessors: search the shorter list, so a node with a wide fan-out
+  // costs nothing when its consumers have few operands.
   auto& out = succ_[static_cast<std::size_t>(u)];
-  if (std::find(out.begin(), out.end(), v) != out.end()) return;
+  auto& in = pred_[static_cast<std::size_t>(v)];
+  const bool duplicate = out.size() <= in.size()
+                             ? std::find(out.begin(), out.end(), v) != out.end()
+                             : std::find(in.begin(), in.end(), u) != in.end();
+  if (duplicate) return;
   out.push_back(v);
-  pred_[static_cast<std::size_t>(v)].push_back(u);
+  in.push_back(u);
   ++num_edges_;
 }
 

@@ -33,7 +33,10 @@ class OpDag {
   std::int32_t AddNode(DagNode node);
 
   /// Add edge u -> v. Requires valid, distinct indices; duplicate edges are
-  /// ignored. No cycle check here — validate with IsAcyclic().
+  /// ignored (found in the shorter of u's successor and v's predecessor
+  /// lists, so building an operator DAG, whose in-degrees are bounded by an
+  /// op's operand count, is linear). No cycle check here — validate with
+  /// IsAcyclic().
   void AddEdge(std::int32_t u, std::int32_t v);
 
   [[nodiscard]] std::int64_t NumNodes() const noexcept {

@@ -18,9 +18,15 @@ PruneResult PruneDag(const OpDag& dag,
   }
 
   // For each pruned node, its "effective predecessors" are the surviving
-  // ancestors seen through chains of pruned nodes. Processing in topological
-  // order lets each pruned node reuse its pruned predecessors' results.
-  std::vector<std::vector<std::int32_t>> effective_preds(n);
+  // ancestors seen through chains of pruned nodes, each once, in first-seen
+  // order. Processing in topological order lets each pruned node reuse its
+  // pruned predecessors' lists. All lists share one flat buffer: pruned
+  // node u's is effective[first[u], last[u]). Dropping repeats does not
+  // change the result, since AddEdge ignores duplicate edges.
+  std::vector<std::int32_t> effective;
+  std::vector<std::size_t> first(n, 0);
+  std::vector<std::size_t> last(n, 0);
+  std::vector<std::int32_t> listed_for(n, -1);  // listed_for[g] == u: g is in u's list
   PruneResult result;
   result.remap.assign(n, -1);
   for (const std::int32_t u : *order) {
@@ -30,26 +36,33 @@ PruneResult PruneDag(const OpDag& dag,
       continue;
     }
     ++result.removed;
+    first[ui] = effective.size();
+    const auto list = [&](std::int32_t g) {
+      if (listed_for[static_cast<std::size_t>(g)] == u) return;
+      listed_for[static_cast<std::size_t>(g)] = u;
+      effective.push_back(g);
+    };
     for (const std::int32_t p : dag.Predecessors(u)) {
       const auto pi = static_cast<std::size_t>(p);
-      if (pruned[pi]) {
-        for (const std::int32_t g : effective_preds[pi]) effective_preds[ui].push_back(g);
-      } else {
-        effective_preds[ui].push_back(p);
+      if (!pruned[pi]) {
+        list(p);
+        continue;
       }
+      for (std::size_t k = first[pi]; k < last[pi]; ++k) list(effective[k]);
     }
+    last[ui] = effective.size();
   }
   for (const std::int32_t v : *order) {
     const auto vi = static_cast<std::size_t>(v);
     if (pruned[vi]) continue;
     for (const std::int32_t p : dag.Predecessors(v)) {
       const auto pi = static_cast<std::size_t>(p);
-      if (pruned[pi]) {
-        for (const std::int32_t g : effective_preds[pi]) {
-          result.dag.AddEdge(result.remap[static_cast<std::size_t>(g)], result.remap[vi]);
-        }
-      } else {
+      if (!pruned[pi]) {
         result.dag.AddEdge(result.remap[pi], result.remap[vi]);
+        continue;
+      }
+      for (std::size_t k = first[pi]; k < last[pi]; ++k) {
+        result.dag.AddEdge(result.remap[static_cast<std::size_t>(effective[k])], result.remap[vi]);
       }
     }
   }

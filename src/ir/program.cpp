@@ -43,6 +43,38 @@ std::int64_t StageProgram::LiteralBytes() const noexcept {
   return total;
 }
 
+bool StageProgram::SameComputation(const StageProgram& other) const noexcept {
+  return values_ == other.values_ && equations_ == other.equations_ &&
+         outputs_ == other.outputs_;
+}
+
+std::uint64_t StageProgram::ComputationHash() const noexcept {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    h = (h ^ x) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  };
+  mix(values_.size());
+  for (const Value& v : values_) {
+    mix(static_cast<std::uint64_t>(v.spec.dtype));
+    mix(v.spec.dims.size());
+    for (const std::int64_t d : v.spec.dims) mix(static_cast<std::uint64_t>(d));
+    mix(static_cast<std::uint64_t>(v.kind));
+    mix(static_cast<std::uint64_t>(v.defining_equation));
+  }
+  mix(equations_.size());
+  for (const Equation& e : equations_) {
+    mix(static_cast<std::uint64_t>(e.op));
+    mix(e.operands.size());
+    for (const ValueId o : e.operands) mix(static_cast<std::uint64_t>(o));
+    mix(static_cast<std::uint64_t>(e.result));
+    mix(static_cast<std::uint64_t>(e.contraction_dim));
+  }
+  mix(outputs_.size());
+  for (const ValueId o : outputs_) mix(static_cast<std::uint64_t>(o));
+  return h;
+}
+
 std::int64_t EquationFlops(const StageProgram& program, const Equation& eqn) {
   const TensorSpec& result = program.value(eqn.result).spec;
   const std::int64_t out_elems = result.NumElements();

@@ -20,6 +20,8 @@ struct Value {
   ValueKind kind = ValueKind::kEquationResult;
   /// Index into equations() for kEquationResult values; -1 otherwise.
   std::int32_t defining_equation = -1;
+
+  bool operator==(const Value&) const = default;
 };
 
 struct Equation {
@@ -28,6 +30,8 @@ struct Equation {
   ValueId result = -1;
   /// Contraction size for dot-like ops (the K dimension); 0 otherwise.
   std::int64_t contraction_dim = 0;
+
+  bool operator==(const Equation&) const = default;
 };
 
 class StageProgram {
@@ -57,6 +61,17 @@ class StageProgram {
 
   /// Total bytes of literal (weight) values — the stage's parameter memory.
   [[nodiscard]] std::int64_t LiteralBytes() const noexcept;
+
+  /// Exact computation identity: true iff values, equations and outputs are
+  /// equal. The descriptive metadata below (name, layer range, has_* flags,
+  /// microbatch) is ignored, so two slices of a model that compute the same
+  /// thing compare equal. ir::BuildOpDag reads nothing but these three
+  /// fields, so equal programs encode to the same bytes; if it ever reads
+  /// more, the identity must grow with it.
+  [[nodiscard]] bool SameComputation(const StageProgram& other) const noexcept;
+  /// Hash of exactly the fields SameComputation compares: equal programs
+  /// hash equal; unequal ones may collide, so confirm with SameComputation.
+  [[nodiscard]] std::uint64_t ComputationHash() const noexcept;
 
   std::string name;
   /// Descriptive metadata (used by samplers / reports).

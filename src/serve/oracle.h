@@ -28,8 +28,10 @@
 
 namespace predtop::serve {
 
-/// Resolves a stage slice to its encoded predictor input (memoization is the
-/// resolver's business — core::PlanSearch::EncodedFor already caches).
+/// Resolves a stage slice to its encoded predictor input. Memoization is the
+/// resolver's business: core::PlanSearch::EncodedFor caches per slice, and
+/// slices whose programs compute the same thing share one encoding, so the
+/// returned reference may be shared by many slices.
 using StageEncoder = std::function<const graph::EncodedGraph&(ir::StageSlice)>;
 
 struct ServingOracleOptions {

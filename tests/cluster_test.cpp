@@ -44,6 +44,7 @@
 #include "cluster/worker.h"
 #include "core/plan_search.h"
 #include "fault/injector.h"
+#include "ir/stages.h"
 #include "graph/fingerprint.h"
 #include "serve/fallback.h"
 #include "serve/oracle.h"
@@ -582,6 +583,50 @@ TEST(WorkerStartup, NoModelsIsInvalidArgument) {
   const fault::Status status = worker.Init();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), fault::StatusCode::kInvalidArgument);
+}
+
+// ---- worker encodings ----
+
+TEST(WorkerEncoding, ConcurrentIdenticalSlicesShareOneEncoding) {
+  // Six layers: 21 slices, 15 distinct programs (middle slices of one span
+  // compute the same stage). Four threads ask for every slice, in shifted
+  // orders so identical slices race.
+  ir::Gpt3Config config = TinyGptConfig();
+  config.num_layers = 6;
+  WorkerOptions options;
+  options.listen = Endpoint::Unix(TempPath("encode.sock"));
+  options.benchmark = core::Gpt3Benchmark(config);
+  Worker worker(options);
+  const auto slices = ir::EnumerateStageSlices(6, 6);
+  ASSERT_EQ(slices.size(), 21u);
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<const graph::EncodedGraph*>> got(
+      kThreads, std::vector<const graph::EncodedGraph*>(slices.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < slices.size(); ++k) {
+        const std::size_t i = (k + 5 * t) % slices.size();
+        got[t][i] = &worker.EncodedFor(slices[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::set<const graph::EncodedGraph*> distinct;
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    for (std::size_t t = 1; t < kThreads; ++t) EXPECT_EQ(got[t][i], got[0][i]) << i;
+    const ir::StageProgram program = options.benchmark.build_stage(slices[i]);
+    EXPECT_EQ(got[0][i]->fingerprint, core::EncodeStage(program).fingerprint) << i;
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_EQ(got[0][i] == got[0][j],
+                program.SameComputation(options.benchmark.build_stage(slices[j])))
+          << i << " vs " << j;
+    }
+    distinct.insert(got[0][i]);
+  }
+  EXPECT_EQ(distinct.size(), 15u);
 }
 
 // ---- multi-process helpers ----

@@ -6,15 +6,20 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 
 #include "core/dataset.h"
+#include "core/encoding_table.h"
 #include "core/greybox.h"
 #include "core/plan_search.h"
 #include "core/predictors.h"
 #include "core/regressor.h"
 #include "ir/printer.h"
+#include "ir/resnet.h"
 #include "ir/stages.h"
+#include "util/thread_pool.h"
 
 namespace predtop::core {
 namespace {
@@ -442,7 +447,11 @@ TEST(PlanSearch, ParallelMemoFillMatchesStandaloneEncoding) {
   ExpectSameEncoding(search.EncodedFor(wide), EncodeStage(paper.build_stage(wide)), "wide");
   EXPECT_EQ(builds->load(), 1);
 
-  // The first in-span miss builds every in-span slice exactly once.
+  // The first in-span miss builds every in-span slice exactly once. Slices
+  // with equal programs share one encoding: a GPT-3 slice's program depends
+  // only on its span and on holding the embedding or the LM head, so the
+  // 255 slices are 45 distinct encodings.
+  std::set<const graph::EncodedGraph*> distinct;
   for (const ir::StageSlice slice : slices) {
     const std::string what =
         std::to_string(slice.first_layer) + ".." + std::to_string(slice.last_layer);
@@ -450,8 +459,88 @@ TEST(PlanSearch, ParallelMemoFillMatchesStandaloneEncoding) {
     EXPECT_EQ(ir::PrintProgram(search.ProgramFor(slice)), ir::PrintProgram(fresh)) << what;
     ExpectSameEncoding(search.EncodedFor(slice), EncodeStage(fresh), what);
     if (HasFatalFailure()) return;
+    distinct.insert(&search.EncodedFor(slice));
   }
   EXPECT_EQ(builds->load(), 1 + static_cast<int>(slices.size()));
+  EXPECT_EQ(distinct.size(), 45u);
+}
+
+/// Every in-span slice of `search` encodes byte-identically to a standalone
+/// EncodeStage, and two slices share an encoding exactly when their
+/// programs are equal. Returns the number of distinct encodings.
+std::size_t ExpectSharingIsExact(PlanSearch& search, const BenchmarkModel& model) {
+  const auto slices = ir::EnumerateStageSlices(model.num_layers, search.EffectiveMaxSpan());
+  std::vector<ir::StageProgram> programs;
+  std::vector<const graph::EncodedGraph*> encoded;
+  for (const ir::StageSlice slice : slices) {
+    programs.push_back(model.build_stage(slice));
+    encoded.push_back(&search.EncodedFor(slice));
+    ExpectSameEncoding(*encoded.back(), EncodeStage(programs.back()),
+                       model.name + " " + std::to_string(slice.first_layer) + ".." +
+                           std::to_string(slice.last_layer));
+  }
+  for (std::size_t a = 0; a < slices.size(); ++a) {
+    for (std::size_t b = a + 1; b < slices.size(); ++b) {
+      EXPECT_EQ(encoded[a] == encoded[b], programs[a].SameComputation(programs[b]))
+          << model.name << " slices " << a << " and " << b;
+    }
+  }
+  return std::set<const graph::EncodedGraph*>(encoded.begin(), encoded.end()).size();
+}
+
+TEST(PlanSearch, SharedEncodingsMatchStandaloneAcrossModels) {
+  // MoE alternates dense and expert layers, so a slice's program also
+  // depends on the parity of its first layer: 297 slices, 44 encodings.
+  const BenchmarkModel moe = MoeBenchmark(ir::MoeConfig{});
+  PlanSearchConfig config;
+  config.max_span = 11;
+  PlanSearch moe_search(moe, sim::Platform2(), config);
+  EXPECT_EQ(ir::EnumerateStageSlices(moe.num_layers, config.max_span).size(), 297u);
+  EXPECT_EQ(ExpectSharingIsExact(moe_search, moe), 44u);
+
+  // Wide-ResNet's residual blocks change width and resolution group by
+  // group, so equal programs are the exception; sharing must still be exact.
+  const ir::WideResNetConfig wrn_config;
+  BenchmarkModel wrn;
+  wrn.name = "Wide-ResNet";
+  wrn.num_layers = static_cast<std::int32_t>(wrn_config.num_blocks);
+  wrn.build_stage = [wrn_config](ir::StageSlice slice) {
+    return ir::BuildWideResNetStage(wrn_config, slice);
+  };
+  PlanSearch wrn_search(wrn, sim::Platform1(), PlanSearchConfig{});
+  const std::size_t wrn_distinct = ExpectSharingIsExact(wrn_search, wrn);
+  EXPECT_GT(wrn_distinct, 1u);
+  EXPECT_LE(wrn_distinct, ir::EnumerateStageSlices(wrn.num_layers, wrn.num_layers).size());
+}
+
+TEST(EncodingTable, HashCollisionNeverMergesPrograms) {
+  // Two different programs handed in under one hash, as a collision would:
+  // each keeps its own encoding. Equal programs share one, within a call
+  // and across calls.
+  const BenchmarkModel gpt = Gpt3Benchmark(TinyGptConfig());
+  const auto with_hash = [&gpt](ir::StageSlice slice) {
+    HashedProgram p = HashedProgram::Of(gpt.build_stage(slice));
+    p.hash = 42;
+    return p;
+  };
+  const std::vector<HashedProgram> programs = {with_hash({0, 1}), with_hash({1, 3}),
+                                               with_hash({1, 2}), with_hash({2, 3})};
+  EncodingTable table;
+  util::ThreadPool pool(2);
+  const std::vector<EncodingTable::Encoding> got = table.Encode(programs, &pool);
+  ASSERT_EQ(got.size(), programs.size());
+  EXPECT_NE(got[0], got[1]);
+  EXPECT_NE(got[0], got[2]);
+  EXPECT_NE(got[1], got[2]);
+  EXPECT_EQ(got[2], got[3]);  // layers [1, 2) and [2, 3): the same middle layer
+  EXPECT_EQ(table.size(), 3u);
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    ExpectSameEncoding(*got[i], EncodeStage(*programs[i].program), std::to_string(i));
+  }
+  EXPECT_EQ(table.Encode(with_hash({2, 3})), got[2]);
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_NE(table.Encode(with_hash({0, 2})), got[1]);
+  EXPECT_EQ(table.size(), 4u);
 }
 
 }  // namespace

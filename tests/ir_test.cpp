@@ -89,6 +89,71 @@ TEST(Flops, MovementOpsAreZeroFlops) {
 
 // ---- builders ----
 
+/// A two-equation program with one knob per field the computation identity
+/// compares.
+struct TinySpec {
+  std::int64_t rows = 2;
+  DType dtype = DType::kF16;
+  bool swap_operands = false;
+  OpType activation = OpType::kGelu;
+  std::int64_t contraction = 3;
+  bool output_activation = true;
+};
+
+StageProgram Tiny(const TinySpec& t) {
+  StageProgram p;
+  const ValueId x = p.AddInput({t.dtype, {t.rows, 3}});
+  const ValueId w = p.AddLiteral({DType::kF16, {3, 4}});
+  const std::vector<ValueId> operands =
+      t.swap_operands ? std::vector<ValueId>{w, x} : std::vector<ValueId>{x, w};
+  const ValueId y = p.AddEquation(OpType::kDot, operands, {DType::kF16, {2, 4}}, t.contraction);
+  const ValueId z = p.AddEquation(t.activation, {y}, {DType::kF16, {2, 4}});
+  p.MarkOutput(t.output_activation ? z : y);
+  return p;
+}
+
+TEST(StageProgram, ComputationIdentityIgnoresNameAndLayerRange) {
+  StageProgram a = Tiny({});
+  StageProgram b = Tiny({});
+  b.name = "gpt3[5:9]";
+  b.first_layer = 5;
+  b.last_layer = 9;
+  b.has_embedding = true;
+  b.has_lm_head = true;
+  b.microbatch = 16;
+  EXPECT_TRUE(a.SameComputation(b));
+  EXPECT_EQ(a.ComputationHash(), b.ComputationHash());
+
+  // Two middle GPT-3 slices of one span compute the same stage; a slice
+  // holding the embedding does not.
+  const Gpt3Config config;
+  const StageProgram mid = BuildGpt3Stage(config, {4, 8});
+  const StageProgram shifted = BuildGpt3Stage(config, {9, 13});
+  EXPECT_NE(mid.name, shifted.name);
+  EXPECT_TRUE(mid.SameComputation(shifted));
+  EXPECT_EQ(mid.ComputationHash(), shifted.ComputationHash());
+  EXPECT_FALSE(mid.SameComputation(BuildGpt3Stage(config, {0, 4})));
+  EXPECT_FALSE(mid.SameComputation(BuildGpt3Stage(config, {4, 9})));
+}
+
+TEST(StageProgram, ComputationIdentitySeesEveryComputedField) {
+  const StageProgram base = Tiny({});
+  const std::vector<std::pair<std::string, TinySpec>> changes = {
+      {"one dim", {.rows = 5}},
+      {"a dtype", {.dtype = DType::kF32}},
+      {"an operand", {.swap_operands = true}},
+      {"an op", {.activation = OpType::kTanh}},
+      {"contraction_dim", {.contraction = 7}},
+      {"an output", {.output_activation = false}},
+  };
+  for (const auto& [what, spec] : changes) {
+    const StageProgram changed = Tiny(spec);
+    EXPECT_FALSE(base.SameComputation(changed)) << what;
+    EXPECT_FALSE(changed.SameComputation(base)) << what;
+    EXPECT_NE(base.ComputationHash(), changed.ComputationHash()) << what;
+  }
+}
+
 TEST(Gpt3Builder, MiddleStageStructure) {
   Gpt3Config config;
   const StageProgram stage = BuildGpt3Stage(config, {4, 8});
