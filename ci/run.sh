@@ -86,7 +86,7 @@ if [[ "${1:-}" == "engine" ]]; then
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
     --target compile_test serve_test infer_test graph_test core_test simd_test \
-    ir_test fig10_optimization
+    ir_test parallel_test fig10_optimization
   # All of compile_test, including FusedParity.* (the fused attention at the
   # plan search's narrow heads and inexact scales, vs the tape), and the
   # attention's windowed kernels against the whole-row ones the tape runs.
@@ -96,13 +96,16 @@ if [[ "${1:-}" == "engine" ]]; then
   ./build-asan/tests/infer_test --gtest_filter='InferParity.*:PackedGemm.*'
   # The bit-packed DAGRA mask against a DFS oracle, the GCN adjacency against
   # a COO reference, pinned fingerprints, the GCN backward through the shared
-  # transpose, the plan search's parallel memo fill and its shared
-  # per-computation encodings against standalone encodings, and the
-  # stage-program identity they are keyed by.
+  # transpose, the plan search's one-pass memo fill (one build and encoding
+  # per computation class) against standalone builds and encodings, the
+  # layer-kind classes against the stage-program identity, the shared
+  # program bodies, the one-pass pruned DAG against build-then-prune, and
+  # the inter-op DP against brute force on a seeded sweep.
   ./build-asan/tests/graph_test --gtest_filter='DagraMask.*:EncodeGraph.*:Fingerprint.*'
   ./build-asan/tests/core_test \
-    --gtest_filter='PlanSearch.ParallelMemoFillMatchesStandaloneEncoding:PlanSearch.SharedEncodingsMatchStandaloneAcrossModels:EncodingTable.*:GcnSharedTranspose.*'
-  ./build-asan/tests/ir_test --gtest_filter='StageProgram.*'
+    --gtest_filter='PlanSearch.ParallelMemoFillMatchesStandaloneEncoding:PlanSearch.SharedEncodingsMatchStandaloneAcrossModels:EncodingTable.*:BenchmarkModel.*:GcnSharedTranspose.*'
+  ./build-asan/tests/ir_test --gtest_filter='StageProgram.*:ToDag.*'
+  ./build-asan/tests/parallel_test --gtest_filter='InterOp.*'
   # Plan search on both paper platforms through the per-query oracle, the
   # batch oracle and a tape-priced oracle, with the runtime autotuner on:
   # batch == per-query to the bit, and batch matches the tape plan.
@@ -126,11 +129,12 @@ if [[ "${1:-}" == "tsan" ]]; then
   ./build-tsan/tests/online_test
   # PredictMany interleaves its misses' forwards on the service pool.
   ./build-tsan/tests/serve_test --gtest_filter='LruCache.*:Service.*:ServingOracle.PredictBatchMatchesScalarQueries:ThreadPool.*'
-  # The plan search's parallel memo fill (programs and their hashes, then
-  # one encoding per distinct computation, on a pool scoped to the call),
-  # the identity it groups by, and the bit-packed mask it builds.
-  ./build-tsan/tests/core_test --gtest_filter='PlanSearch.ParallelMemoFillMatchesStandaloneEncoding:PlanSearch.SharedEncodingsMatchStandaloneAcrossModels:EncodingTable.*'
-  ./build-tsan/tests/ir_test --gtest_filter='StageProgram.*'
+  # The plan search's one-pass memo fill (one build and encoding per
+  # computation class in one ParallelFor, on a pool scoped to the fill),
+  # the classes it keys by, the shared program bodies its workers read, the
+  # one-pass pruned DAG, and the bit-packed mask it builds.
+  ./build-tsan/tests/core_test --gtest_filter='PlanSearch.ParallelMemoFillMatchesStandaloneEncoding:PlanSearch.SharedEncodingsMatchStandaloneAcrossModels:EncodingTable.*:BenchmarkModel.*'
+  ./build-tsan/tests/ir_test --gtest_filter='StageProgram.*:ToDag.*'
   ./build-tsan/tests/graph_test --gtest_filter='DagraMask.*:EncodeGraph.*'
   # Concurrent compiled forwards on one shared model (per-thread plan
   # buffers, lazy packed-weight snapshots) plus the parity suites that drive

@@ -18,7 +18,6 @@
 #include "graph/dot.h"
 #include "ir/liveness.h"
 #include "ir/printer.h"
-#include "ir/resnet.h"
 #include "ir/to_dag.h"
 #include "parallel/inter_op.h"
 #include "parallel/intra_op.h"
@@ -31,16 +30,7 @@ namespace {
 core::BenchmarkModel ModelByName(const std::string& name) {
   if (name == "gpt3") return core::Gpt3Benchmark(ir::Gpt3Config{});
   if (name == "moe") return core::MoeBenchmark(ir::MoeConfig{});
-  if (name == "wrn") {
-    ir::WideResNetConfig config;
-    core::BenchmarkModel model;
-    model.name = "WideResNet";
-    model.num_layers = static_cast<std::int32_t>(config.num_blocks);
-    model.build_stage = [config](ir::StageSlice slice) {
-      return ir::BuildWideResNetStage(config, slice);
-    };
-    return model;
-  }
+  if (name == "wrn") return core::WideResNetBenchmark();
   throw std::invalid_argument("unknown model '" + name + "' (gpt3 | moe | wrn)");
 }
 

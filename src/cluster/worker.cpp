@@ -14,7 +14,8 @@
 
 namespace predtop::cluster {
 
-Worker::Worker(WorkerOptions options) : options_(std::move(options)) {}
+Worker::Worker(WorkerOptions options)
+    : options_(std::move(options)), stages_(options_.benchmark) {}
 
 Worker::~Worker() { Stop(); }
 
@@ -197,11 +198,7 @@ Frame Worker::Dispatch(const Frame& request) {
 
 const graph::EncodedGraph& Worker::EncodedFor(ir::StageSlice slice) {
   const std::scoped_lock lock(encode_mutex_);
-  core::EncodingTable::Encoding& encoded = encoded_[{slice.first_layer, slice.last_layer}];
-  if (!encoded) {
-    encoded = encodings_.Encode(core::HashedProgram::Of(options_.benchmark.build_stage(slice)));
-  }
-  return *encoded;
+  return stages_.Encoded(slice);
 }
 
 Frame Worker::HandlePredict(const Frame& request) {

@@ -125,9 +125,9 @@ class Worker {
   [[nodiscard]] std::uint64_t ServiceLatencyPercentileUs(double p) const;
 
   /// Memoized slice -> encoded predictor input, shared by all connection
-  /// threads (mutex-serialized). Slices whose programs compute the same
-  /// thing share one encoding (core::EncodingTable), so the worker holds at
-  /// most one per distinct stage program. Valid for the worker's lifetime.
+  /// threads (mutex-serialized). Slices of one computation class share one
+  /// encoding (core::EncodingTable), so the worker builds and holds one per
+  /// distinct stage program. Valid for the worker's lifetime.
   [[nodiscard]] const graph::EncodedGraph& EncodedFor(ir::StageSlice slice);
 
  private:
@@ -165,8 +165,7 @@ class Worker {
   std::vector<int> live_fds_;  // shut down by RequestStop to unblock reads
 
   std::mutex encode_mutex_;
-  core::EncodingTable encodings_;  // under encode_mutex_
-  std::map<std::pair<std::int32_t, std::int32_t>, core::EncodingTable::Encoding> encoded_;
+  core::EncodingTable stages_;  // under encode_mutex_
 };
 
 /// Process entry point of the standalone worker binary (and of test child

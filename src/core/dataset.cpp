@@ -8,11 +8,20 @@
 
 namespace predtop::core {
 
+std::vector<std::int32_t> BenchmarkModel::StageClass(ir::StageSlice slice) const {
+  std::vector<std::int32_t> key = {slice.first_layer == 0, slice.last_layer == num_layers};
+  for (std::int32_t layer = slice.first_layer; layer < slice.last_layer; ++layer) {
+    key.push_back(layer_kinds.empty() ? layer : layer_kinds.at(static_cast<std::size_t>(layer)));
+  }
+  return key;
+}
+
 BenchmarkModel Gpt3Benchmark(ir::Gpt3Config config) {
   BenchmarkModel model;
   model.name = "GPT-3";
   model.num_layers = static_cast<std::int32_t>(config.num_layers);
   model.build_stage = [config](ir::StageSlice slice) { return ir::BuildGpt3Stage(config, slice); };
+  model.layer_kinds = ir::LayerKinds(config);
   return model;
 }
 
@@ -21,6 +30,18 @@ BenchmarkModel MoeBenchmark(ir::MoeConfig config) {
   model.name = "MoE";
   model.num_layers = static_cast<std::int32_t>(config.num_layers);
   model.build_stage = [config](ir::StageSlice slice) { return ir::BuildMoeStage(config, slice); };
+  model.layer_kinds = ir::LayerKinds(config);
+  return model;
+}
+
+BenchmarkModel WideResNetBenchmark(ir::WideResNetConfig config) {
+  BenchmarkModel model;
+  model.name = "Wide-ResNet";
+  model.num_layers = static_cast<std::int32_t>(config.num_blocks);
+  model.build_stage = [config](ir::StageSlice slice) {
+    return ir::BuildWideResNetStage(config, slice);
+  };
+  model.layer_kinds = ir::LayerKinds(config);
   return model;
 }
 

@@ -13,20 +13,32 @@
 
 #include "graph/encode.h"
 #include "ir/models.h"
+#include "ir/resnet.h"
 #include "parallel/intra_op.h"
 #include "sim/profiler.h"
 
 namespace predtop::core {
 
-/// A benchmark model the workflow slices into stages (GPT-3 or MoE).
+/// A benchmark model the workflow slices into stages (GPT-3, MoE or
+/// Wide-ResNet).
 struct BenchmarkModel {
   std::string name;
   std::int32_t num_layers = 0;
   std::function<ir::StageProgram(ir::StageSlice)> build_stage;
+  /// Which layers emit identical equations (ir::LayerKinds): one kind per
+  /// layer. Empty means every layer is distinct, which shares nothing and is
+  /// always correct. build_stage must name its stages with ir::StageName.
+  std::vector<std::int32_t> layer_kinds;
+
+  /// A slice's computation class: (holds the embedding, holds the LM head,
+  /// the kinds of its layers in order). Slices of one class build programs
+  /// that are ir::StageProgram::SameComputation.
+  [[nodiscard]] std::vector<std::int32_t> StageClass(ir::StageSlice slice) const;
 };
 
 [[nodiscard]] BenchmarkModel Gpt3Benchmark(ir::Gpt3Config config = {});
 [[nodiscard]] BenchmarkModel MoeBenchmark(ir::MoeConfig config = {});
+[[nodiscard]] BenchmarkModel WideResNetBenchmark(ir::WideResNetConfig config = {});
 
 struct StageSample {
   ir::StageSlice slice;

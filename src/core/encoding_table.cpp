@@ -1,64 +1,80 @@
 #include "core/encoding_table.h"
 
-#include "core/dataset.h"
 #include "util/thread_pool.h"
 
 namespace predtop::core {
 
-HashedProgram HashedProgram::Of(ir::StageProgram program) {
-  const std::uint64_t hash = program.ComputationHash();
-  return {std::make_shared<const ir::StageProgram>(std::move(program)), hash};
+EncodingTable::EncodingTable(BenchmarkModel model) : model_(std::move(model)) {}
+
+EncodingTable::Slice& EncodingTable::SliceEntry(ir::StageSlice slice) {
+  const auto [it, fresh] = slices_.try_emplace({slice.first_layer, slice.last_layer});
+  if (fresh) {
+    const auto [cls, new_class] =
+        class_index_.try_emplace(model_.StageClass(slice), classes_.size());
+    if (new_class) classes_.push_back(Class{slice, std::nullopt, nullptr});
+    it->second.cls = cls->second;
+  }
+  return it->second;
 }
 
-std::vector<EncodingTable::Encoding> EncodingTable::Encode(
-    std::span<const HashedProgram> programs, util::ThreadPool* pool) {
-  std::vector<Encoding> out(programs.size());
-  // The inputs that represent a computation new to the table, and which
-  // representative each input resolves to (-1: already in the table).
-  std::vector<std::size_t> fresh;
-  std::unordered_multimap<std::uint64_t, std::size_t> fresh_by_hash;
-  std::vector<std::ptrdiff_t> fresh_of(programs.size(), -1);
-  for (std::size_t i = 0; i < programs.size(); ++i) {
-    const HashedProgram& p = programs[i];
-    for (auto [it, end] = entries_.equal_range(p.hash); it != end && !out[i]; ++it) {
-      if (p.program->SameComputation(*it->second.program)) out[i] = it->second.encoded;
-    }
-    if (out[i]) continue;
-    for (auto [it, end] = fresh_by_hash.equal_range(p.hash); it != end; ++it) {
-      if (p.program->SameComputation(*programs[fresh[it->second]].program)) {
-        fresh_of[i] = static_cast<std::ptrdiff_t>(it->second);
-        break;
-      }
-    }
-    if (fresh_of[i] >= 0) continue;
-    fresh_of[i] = static_cast<std::ptrdiff_t>(fresh.size());
-    fresh_by_hash.emplace(p.hash, fresh.size());
-    fresh.push_back(i);
+const ir::StageProgram& EncodingTable::Representative(std::size_t cls) {
+  Class& c = classes_[cls];
+  if (!c.representative) c.representative = model_.build_stage(c.representative_slice);
+  return *c.representative;
+}
+
+void EncodingTable::Fill(std::span<const ir::StageSlice> slices, util::ThreadPool* pool) {
+  std::vector<std::size_t> todo;
+  std::vector<bool> queued(classes_.size() + slices.size(), false);
+  for (const ir::StageSlice slice : slices) {
+    const std::size_t cls = SliceEntry(slice).cls;
+    if (classes_[cls].encoded || queued[cls]) continue;
+    queued[cls] = true;
+    todo.push_back(cls);
   }
 
-  std::vector<Encoding> encoded(fresh.size());
-  const auto encode = [&](std::size_t f) {
-    encoded[f] = std::make_shared<const graph::EncodedGraph>(
-        EncodeStage(*programs[fresh[f]].program));
+  std::vector<std::optional<ir::StageProgram>> built(todo.size());
+  std::vector<std::unique_ptr<const graph::EncodedGraph>> encoded(todo.size());
+  const auto work = [&](std::size_t i) {
+    const Class& c = classes_[todo[i]];
+    const ir::StageProgram& program =
+        c.representative ? *c.representative
+                         : built[i].emplace(model_.build_stage(c.representative_slice));
+    encoded[i] = std::make_unique<const graph::EncodedGraph>(EncodeStage(program));
   };
   if (pool != nullptr) {
-    pool->ParallelFor(fresh.size(), encode);
+    pool->ParallelFor(todo.size(), work);
   } else {
-    for (std::size_t f = 0; f < fresh.size(); ++f) encode(f);
+    for (std::size_t i = 0; i < todo.size(); ++i) work(i);
   }
 
-  for (std::size_t f = 0; f < fresh.size(); ++f) {
-    const HashedProgram& p = programs[fresh[f]];
-    entries_.emplace(p.hash, Entry{p.program, encoded[f]});
+  for (std::size_t i = 0; i < todo.size(); ++i) {
+    Class& c = classes_[todo[i]];
+    if (built[i]) c.representative = std::move(built[i]);
+    c.encoded = std::move(encoded[i]);
   }
-  for (std::size_t i = 0; i < programs.size(); ++i) {
-    if (fresh_of[i] >= 0) out[i] = encoded[static_cast<std::size_t>(fresh_of[i])];
-  }
-  return out;
+  encoded_classes_ += todo.size();
 }
 
-EncodingTable::Encoding EncodingTable::Encode(const HashedProgram& program) {
-  return Encode(std::span<const HashedProgram>(&program, 1)).front();
+const ir::StageProgram& EncodingTable::Program(ir::StageSlice slice) {
+  Slice& entry = SliceEntry(slice);
+  if (!entry.program) {
+    const ir::StageProgram& representative = Representative(entry.cls);
+    entry.program = classes_[entry.cls].representative_slice == slice
+                        ? representative
+                        : ir::RelabelStage(representative, slice, model_.num_layers);
+  }
+  return *entry.program;
+}
+
+const graph::EncodedGraph& EncodingTable::Encoded(ir::StageSlice slice) {
+  const std::size_t cls = SliceEntry(slice).cls;
+  if (!classes_[cls].encoded) {
+    classes_[cls].encoded =
+        std::make_unique<const graph::EncodedGraph>(EncodeStage(Representative(cls)));
+    ++encoded_classes_;
+  }
+  return *classes_[cls].encoded;
 }
 
 }  // namespace predtop::core

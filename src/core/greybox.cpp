@@ -9,7 +9,7 @@ namespace predtop::core {
 GreyBoxEstimator::GreyBoxEstimator(
     BenchmarkModel benchmark,
     std::vector<std::pair<sim::Mesh, std::shared_ptr<LatencyRegressor>>> regressors)
-    : benchmark_(std::move(benchmark)), regressors_(std::move(regressors)) {
+    : regressors_(std::move(regressors)), stages_(std::move(benchmark)) {
   if (regressors_.empty()) {
     throw std::invalid_argument("GreyBoxEstimator: at least one regressor required");
   }
@@ -17,11 +17,7 @@ GreyBoxEstimator::GreyBoxEstimator(
 
 double GreyBoxEstimator::EstimateStageLatency(ir::StageSlice slice, sim::Mesh mesh) {
   for (auto& [regressor_mesh, regressor] : regressors_) {
-    if (regressor_mesh == mesh) {
-      EncodingTable::Encoding& encoded = encoded_cache_[{slice.first_layer, slice.last_layer}];
-      if (!encoded) encoded = encodings_.Encode(HashedProgram::Of(benchmark_.build_stage(slice)));
-      return regressor->PredictSeconds(*encoded);
-    }
+    if (regressor_mesh == mesh) return regressor->PredictSeconds(stages_.Encoded(slice));
   }
   throw std::invalid_argument("GreyBoxEstimator: no regressor for the requested mesh");
 }

@@ -4,7 +4,6 @@
 // (Eqn. 4) to estimate the end-to-end iteration latency of any hybrid
 // parallelization plan without profiling it.
 
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -29,10 +28,8 @@ class GreyBoxEstimator {
   [[nodiscard]] double EstimateIterationLatency(const parallel::PipelinePlan& plan);
 
  private:
-  BenchmarkModel benchmark_;
   std::vector<std::pair<sim::Mesh, std::shared_ptr<LatencyRegressor>>> regressors_;
-  EncodingTable encodings_;
-  std::map<std::pair<std::int32_t, std::int32_t>, EncodingTable::Encoding> encoded_cache_;
+  EncodingTable stages_;
 };
 
 }  // namespace predtop::core

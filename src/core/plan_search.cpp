@@ -34,7 +34,7 @@ const char* PlanApproachName(PlanApproach approach) noexcept {
 
 PlanSearch::PlanSearch(BenchmarkModel benchmark, sim::ClusterSpec cluster,
                        PlanSearchConfig config)
-    : benchmark_(std::move(benchmark)), cluster_(std::move(cluster)), config_(config) {
+    : cluster_(std::move(cluster)), config_(config), stages_(std::move(benchmark)) {
   config_.predictor.feature_dim = StageFeatureDim();
   meshes_ = sim::PaperMeshes(cluster_);
   compilers_.reserve(meshes_.size());
@@ -44,59 +44,24 @@ PlanSearch::PlanSearch(BenchmarkModel benchmark, sim::ClusterSpec cluster,
 }
 
 std::int32_t PlanSearch::EffectiveMaxSpan() const noexcept {
-  return config_.max_span > 0 ? config_.max_span : benchmark_.num_layers;
+  return config_.max_span > 0 ? config_.max_span : Benchmark().num_layers;
+}
+
+void PlanSearch::FillStages(ir::StageSlice slice) {
+  if (stages_filled_ || slice.NumLayers() > EffectiveMaxSpan()) return;
+  stages_filled_ = true;
+  util::ThreadPool pool(0);
+  stages_.Fill(ir::EnumerateStageSlices(Benchmark().num_layers, EffectiveMaxSpan()), &pool);
 }
 
 const ir::StageProgram& PlanSearch::ProgramFor(ir::StageSlice slice) {
-  return *HashedProgramFor(slice).program;
-}
-
-const HashedProgram& PlanSearch::HashedProgramFor(ir::StageSlice slice) {
-  const auto make = [this](ir::StageSlice s) {
-    return HashedProgram::Of(benchmark_.build_stage(s));
-  };
-  if (!programs_filled_ && slice.NumLayers() <= EffectiveMaxSpan()) {
-    programs_filled_ = true;
-    std::vector<ir::StageSlice> missing;
-    for (const ir::StageSlice s :
-         ir::EnumerateStageSlices(benchmark_.num_layers, EffectiveMaxSpan())) {
-      if (!program_cache_.contains(SliceKey(s))) missing.push_back(s);
-    }
-    std::vector<HashedProgram> made(missing.size());
-    util::ThreadPool pool(0);
-    pool.ParallelFor(missing.size(), [&](std::size_t i) { made[i] = make(missing[i]); });
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      program_cache_.emplace(SliceKey(missing[i]), std::move(made[i]));
-    }
-  }
-  auto it = program_cache_.find(SliceKey(slice));
-  if (it == program_cache_.end()) it = program_cache_.emplace(SliceKey(slice), make(slice)).first;
-  return it->second;
+  FillStages(slice);
+  return stages_.Program(slice);
 }
 
 const graph::EncodedGraph& PlanSearch::EncodedFor(ir::StageSlice slice) {
-  if (!encoded_filled_ && slice.NumLayers() <= EffectiveMaxSpan()) {
-    encoded_filled_ = true;
-    (void)ProgramFor(slice);  // the program fill runs first, on its own
-    std::vector<std::pair<std::int32_t, std::int32_t>> missing;
-    std::vector<HashedProgram> programs;
-    for (const ir::StageSlice s :
-         ir::EnumerateStageSlices(benchmark_.num_layers, EffectiveMaxSpan())) {
-      if (encoded_cache_.contains(SliceKey(s))) continue;
-      missing.push_back(SliceKey(s));
-      programs.push_back(program_cache_.at(SliceKey(s)));
-    }
-    util::ThreadPool pool(0);
-    std::vector<EncodingTable::Encoding> encoded = encodings_.Encode(programs, &pool);
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      encoded_cache_.emplace(missing[i], std::move(encoded[i]));
-    }
-  }
-  auto it = encoded_cache_.find(SliceKey(slice));
-  if (it == encoded_cache_.end()) {
-    it = encoded_cache_.emplace(SliceKey(slice), encodings_.Encode(HashedProgramFor(slice))).first;
-  }
-  return *it->second;
+  FillStages(slice);
+  return stages_.Encoded(slice);
 }
 
 parallel::StageLatencyResult PlanSearch::TrueStageLatency(ir::StageSlice slice, sim::Mesh mesh) {
@@ -141,7 +106,7 @@ PlanSearchResult PlanSearch::RunProfiling(PlanApproach approach) {
       // Vanilla Alpa's heuristic: only profile stages whose share of the
       // model roughly matches the mesh's share of the cluster.
       const double layer_share =
-          static_cast<double>(slice.NumLayers()) / benchmark_.num_layers;
+          static_cast<double>(slice.NumLayers()) / Benchmark().num_layers;
       const double device_share = mesh.NumDevices() / total_devices;
       if (std::fabs(layer_share - device_share) > config_.partial_profiling_tolerance) {
         return parallel::StageLatencyResult{kInf, {}};
@@ -168,7 +133,7 @@ TrainedMeshPredictors PlanSearch::TrainPredictors(PredictorKind kind) {
   TrainedMeshPredictors trained;
   sim::Profiler profiler(config_.profiler, config_.seed ^ 0xbeefULL);
   const std::int32_t max_span = EffectiveMaxSpan();
-  const auto all_slices = ir::EnumerateStageSlices(benchmark_.num_layers, max_span);
+  const auto all_slices = ir::EnumerateStageSlices(Benchmark().num_layers, max_span);
   const auto sample_count = static_cast<std::size_t>(
       std::ceil(config_.sample_fraction * static_cast<double>(all_slices.size())));
 
@@ -180,7 +145,7 @@ TrainedMeshPredictors PlanSearch::TrainPredictors(PredictorKind kind) {
     build.max_span = max_span;
     build.sample_seed = config_.seed + 31 * m;
     const StageDataset dataset = BuildStageDatasetBestConfig(
-        benchmark_, *compilers_[m], configs, profiler, build);
+        Benchmark(), *compilers_[m], configs, profiler, build);
     if (dataset.Size() < 4) {
       throw std::runtime_error("PlanSearch: not enough feasible stages to train on");
     }
@@ -209,7 +174,7 @@ PlanSearchResult PlanSearch::RunPredTop(PlanApproach approach) {
   if (approach == PlanApproach::kPredTopGat) kind = PredictorKind::kGat;
 
   const std::int32_t max_span = EffectiveMaxSpan();
-  const auto all_slices = ir::EnumerateStageSlices(benchmark_.num_layers, max_span);
+  const auto all_slices = ir::EnumerateStageSlices(Benchmark().num_layers, max_span);
 
   // Phase 1 + 2 per mesh: profile a sampled subset, train a regressor.
   // Phase 3: predict the optimal latency of every candidate stage.
@@ -273,7 +238,7 @@ PlanSearchResult PlanSearch::RunPredTop(PlanApproach approach) {
 
 parallel::InterOpOptimizer PlanSearch::MakeOptimizer() const {
   parallel::InterOpOptions options;
-  options.num_layers = benchmark_.num_layers;
+  options.num_layers = Benchmark().num_layers;
   options.num_microbatches = config_.num_microbatches;
   options.submeshes = meshes_;
   return parallel::InterOpOptimizer(cluster_, options);

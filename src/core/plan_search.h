@@ -85,23 +85,21 @@ class PlanSearch {
   [[nodiscard]] parallel::StageLatencyResult TrueStageLatency(ir::StageSlice slice,
                                                               sim::Mesh mesh);
 
-  [[nodiscard]] const BenchmarkModel& Benchmark() const noexcept { return benchmark_; }
+  [[nodiscard]] const BenchmarkModel& Benchmark() const noexcept { return stages_.Model(); }
   [[nodiscard]] const std::vector<sim::Mesh>& Meshes() const noexcept { return meshes_; }
   [[nodiscard]] const PlanSearchConfig& Config() const noexcept { return config_; }
   [[nodiscard]] std::int32_t EffectiveMaxSpan() const noexcept;
 
   /// Stage program / encoded predictor input of a slice (memoized — shared
   /// by the plan-search oracles and the serving integration). The first
-  /// miss within the max span fills the whole memo — every slice of
+  /// miss within the max span fills both memos for every slice of
   /// ir::EnumerateStageSlices(num_layers, EffectiveMaxSpan()), exactly the
-  /// set the DP's batch oracle asks for — in one ParallelFor over a pool
-  /// scoped to that call, which also hashes each program's computation;
-  /// results move into the memo on the calling thread. The encoding fill
-  /// runs after, and separately from, the program fill: slices whose
-  /// programs compute the same thing share one EncodedGraph (EncodingTable),
-  /// so each distinct stage is encoded once — 45 encodings for the 255
-  /// slices of the fig10 GPT-3 search at span 15. Slices beyond the max span
-  /// stay lazy. Not thread-safe.
+  /// set the DP's batch oracle asks for: EncodingTable::Fill builds and
+  /// encodes one representative per computation class in one ParallelFor —
+  /// 45 builds and encodings for the 255 slices of the fig10 GPT-3 search
+  /// at span 15. Every other slice's program shares its representative's
+  /// body and prints as its own build would. Slices beyond the max span stay
+  /// lazy. Not thread-safe.
   [[nodiscard]] const ir::StageProgram& ProgramFor(ir::StageSlice slice);
   [[nodiscard]] const graph::EncodedGraph& EncodedFor(ir::StageSlice slice);
 
@@ -112,18 +110,15 @@ class PlanSearch {
   [[nodiscard]] PlanSearchResult RunProfiling(PlanApproach approach);
   [[nodiscard]] PlanSearchResult RunPredTop(PlanApproach approach);
 
-  [[nodiscard]] const HashedProgram& HashedProgramFor(ir::StageSlice slice);
+  /// Fill the stage memos on the first in-span miss (see ProgramFor).
+  void FillStages(ir::StageSlice slice);
 
-  BenchmarkModel benchmark_;
   sim::ClusterSpec cluster_;
   PlanSearchConfig config_;
   std::vector<sim::Mesh> meshes_;
   std::vector<std::unique_ptr<parallel::IntraOpCompiler>> compilers_;  // per mesh
-  std::map<std::pair<std::int32_t, std::int32_t>, HashedProgram> program_cache_;
-  EncodingTable encodings_;
-  std::map<std::pair<std::int32_t, std::int32_t>, EncodingTable::Encoding> encoded_cache_;
-  bool programs_filled_ = false;
-  bool encoded_filled_ = false;
+  EncodingTable stages_;
+  bool stages_filled_ = false;
   /// (slice key, mesh index) -> true latency result.
   std::map<std::tuple<std::int32_t, std::int32_t, std::int32_t>, parallel::StageLatencyResult>
       truth_cache_;

@@ -145,9 +145,9 @@ std::uint64_t EncodedGraphFingerprint(const EncodedGraph& g) {
                                             ? static_cast<std::uint64_t>(g.depths[i])
                                             : 0ULL);
   }
-  // Each node's hash is a serial chain over its feature row; advance four
+  // Each node's hash is a serial chain over its feature row; advance eight
   // nodes' chains in lockstep so their multiplies overlap.
-  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kLanes = 8;
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     std::uint64_t h[kLanes];

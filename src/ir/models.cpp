@@ -172,12 +172,35 @@ StageProgram BuildMoeStage(const MoeConfig& config, StageSlice slice) {
   return program;
 }
 
+std::vector<std::int32_t> LayerKinds(const Gpt3Config& config) {
+  return std::vector<std::int32_t>(static_cast<std::size_t>(config.num_layers), 0);
+}
+
+std::vector<std::int32_t> LayerKinds(const MoeConfig& config) {
+  std::vector<std::int32_t> kinds(static_cast<std::size_t>(config.num_layers));
+  for (std::size_t layer = 0; layer < kinds.size(); ++layer) {
+    kinds[layer] = static_cast<std::int32_t>(layer % 2);  // BuildMoeStage's parity
+  }
+  return kinds;
+}
+
 std::string StageName(const std::string& model, StageSlice slice, std::int32_t num_layers) {
   std::ostringstream os;
   os << model << '[' << slice.first_layer << ',' << slice.last_layer << ')';
   if (slice.first_layer == 0) os << "+embed";
   if (slice.last_layer == num_layers) os << "+head";
   return os.str();
+}
+
+StageProgram RelabelStage(const StageProgram& program, StageSlice slice,
+                          std::int32_t num_layers) {
+  StageProgram out = program;
+  out.name = StageName(program.name.substr(0, program.name.find('[')), slice, num_layers);
+  out.first_layer = slice.first_layer;
+  out.last_layer = slice.last_layer;
+  out.has_embedding = slice.first_layer == 0;
+  out.has_lm_head = slice.last_layer == num_layers;
+  return out;
 }
 
 }  // namespace predtop::ir

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ir/program.h"
 
@@ -50,8 +51,23 @@ struct StageSlice {
 [[nodiscard]] StageProgram BuildGpt3Stage(const Gpt3Config& config, StageSlice slice);
 [[nodiscard]] StageProgram BuildMoeStage(const MoeConfig& config, StageSlice slice);
 
+/// Computation kind of each layer, the builders' own statement of which
+/// layers emit identical equations. Two slices with the same boundary roles
+/// (embedding, LM head) whose layers have the same kinds, in order, build
+/// programs that are StageProgram::SameComputation. Every GPT-3 layer is one
+/// kind; MoE layers alternate dense (even) and expert (odd).
+[[nodiscard]] std::vector<std::int32_t> LayerKinds(const Gpt3Config& config);
+[[nodiscard]] std::vector<std::int32_t> LayerKinds(const MoeConfig& config);
+
 /// Human-readable stage name, e.g. "gpt3[4,9)+head".
 [[nodiscard]] std::string StageName(const std::string& model, StageSlice slice,
                                     std::int32_t num_layers);
+
+/// The program of `slice` for a model of `num_layers` layers, computing what
+/// `program` computes: shares its body and microbatch, with the slice's own
+/// layer range, boundary flags and StageName (model prefix taken from
+/// `program`'s name, which must be a StageName).
+[[nodiscard]] StageProgram RelabelStage(const StageProgram& program, StageSlice slice,
+                                        std::int32_t num_layers);
 
 }  // namespace predtop::ir

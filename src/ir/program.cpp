@@ -4,14 +4,25 @@
 
 namespace predtop::ir {
 
+StageProgram::StageProgram() : body_(std::make_shared<Body>()) {}
+
+StageProgram::Body& StageProgram::MutableBody() {
+  // Only this program holds a body whose use count is 1: another holder
+  // would count too, and it can only copy the body while holding it.
+  if (body_.use_count() != 1) body_ = std::make_shared<Body>(*body_);
+  return *body_;
+}
+
 ValueId StageProgram::AddInput(TensorSpec spec) {
-  values_.push_back({std::move(spec), ValueKind::kInput, -1});
-  return static_cast<ValueId>(values_.size() - 1);
+  Body& body = MutableBody();
+  body.values.push_back({std::move(spec), ValueKind::kInput, -1});
+  return static_cast<ValueId>(body.values.size() - 1);
 }
 
 ValueId StageProgram::AddLiteral(TensorSpec spec) {
-  values_.push_back({std::move(spec), ValueKind::kLiteral, -1});
-  return static_cast<ValueId>(values_.size() - 1);
+  Body& body = MutableBody();
+  body.values.push_back({std::move(spec), ValueKind::kLiteral, -1});
+  return static_cast<ValueId>(body.values.size() - 1);
 }
 
 ValueId StageProgram::AddEquation(OpType op, std::vector<ValueId> operands, TensorSpec result,
@@ -21,10 +32,11 @@ ValueId StageProgram::AddEquation(OpType op, std::vector<ValueId> operands, Tens
       throw std::out_of_range("StageProgram::AddEquation: operand id out of range");
     }
   }
-  values_.push_back({std::move(result), ValueKind::kEquationResult,
-                     static_cast<std::int32_t>(equations_.size())});
-  const auto result_id = static_cast<ValueId>(values_.size() - 1);
-  equations_.push_back({op, std::move(operands), result_id, contraction_dim});
+  Body& body = MutableBody();
+  body.values.push_back({std::move(result), ValueKind::kEquationResult,
+                         static_cast<std::int32_t>(body.equations.size())});
+  const auto result_id = static_cast<ValueId>(body.values.size() - 1);
+  body.equations.push_back({op, std::move(operands), result_id, contraction_dim});
   return result_id;
 }
 
@@ -32,47 +44,21 @@ void StageProgram::MarkOutput(ValueId id) {
   if (id < 0 || id >= NumValues()) {
     throw std::out_of_range("StageProgram::MarkOutput: id out of range");
   }
-  outputs_.push_back(id);
+  MutableBody().outputs.push_back(id);
 }
 
 std::int64_t StageProgram::LiteralBytes() const noexcept {
   std::int64_t total = 0;
-  for (const Value& v : values_) {
+  for (const Value& v : body_->values) {
     if (v.kind == ValueKind::kLiteral) total += v.spec.Bytes();
   }
   return total;
 }
 
 bool StageProgram::SameComputation(const StageProgram& other) const noexcept {
-  return values_ == other.values_ && equations_ == other.equations_ &&
-         outputs_ == other.outputs_;
-}
-
-std::uint64_t StageProgram::ComputationHash() const noexcept {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  const auto mix = [&h](std::uint64_t x) {
-    h = (h ^ x) * 0xff51afd7ed558ccdULL;
-    h ^= h >> 32;
-  };
-  mix(values_.size());
-  for (const Value& v : values_) {
-    mix(static_cast<std::uint64_t>(v.spec.dtype));
-    mix(v.spec.dims.size());
-    for (const std::int64_t d : v.spec.dims) mix(static_cast<std::uint64_t>(d));
-    mix(static_cast<std::uint64_t>(v.kind));
-    mix(static_cast<std::uint64_t>(v.defining_equation));
-  }
-  mix(equations_.size());
-  for (const Equation& e : equations_) {
-    mix(static_cast<std::uint64_t>(e.op));
-    mix(e.operands.size());
-    for (const ValueId o : e.operands) mix(static_cast<std::uint64_t>(o));
-    mix(static_cast<std::uint64_t>(e.result));
-    mix(static_cast<std::uint64_t>(e.contraction_dim));
-  }
-  mix(outputs_.size());
-  for (const ValueId o : outputs_) mix(static_cast<std::uint64_t>(o));
-  return h;
+  return body_ == other.body_ ||
+         (body_->values == other.body_->values && body_->equations == other.body_->equations &&
+          body_->outputs == other.body_->outputs);
 }
 
 std::int64_t EquationFlops(const StageProgram& program, const Equation& eqn) {

@@ -3,6 +3,7 @@
 // tensor-level equations in SSA form (each equation defines one value).
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,8 +35,19 @@ struct Equation {
   bool operator==(const Equation&) const = default;
 };
 
+/// A stage program: the computation (values, equations, outputs) in one
+/// body that copies of the program share, plus per-program descriptive
+/// metadata. Copying a program is cheap: the copy shares the body (the two
+/// programs' values() are one vector), and a mutation through either copy
+/// first detaches it (copy on write), so a body another program can see is
+/// never changed.
 class StageProgram {
  public:
+  StageProgram();
+  // Copy only: a "moved-from" program stays a valid copy, never bodiless.
+  StageProgram(const StageProgram&) = default;
+  StageProgram& operator=(const StageProgram&) = default;
+
   /// Activation tensors arriving from the previous stage / data loader.
   ValueId AddInput(TensorSpec spec);
   /// Weights and constants resident on the stage's mesh.
@@ -47,31 +59,33 @@ class StageProgram {
   /// Mark a value as a stage output (activation handed to the next stage).
   void MarkOutput(ValueId id);
 
-  [[nodiscard]] const std::vector<Value>& values() const noexcept { return values_; }
-  [[nodiscard]] const std::vector<Equation>& equations() const noexcept { return equations_; }
-  [[nodiscard]] std::span<const ValueId> outputs() const noexcept { return outputs_; }
-  [[nodiscard]] const Value& value(ValueId id) const { return values_[static_cast<std::size_t>(id)]; }
+  [[nodiscard]] const std::vector<Value>& values() const noexcept { return body_->values; }
+  [[nodiscard]] const std::vector<Equation>& equations() const noexcept {
+    return body_->equations;
+  }
+  [[nodiscard]] std::span<const ValueId> outputs() const noexcept { return body_->outputs; }
+  [[nodiscard]] const Value& value(ValueId id) const {
+    return body_->values[static_cast<std::size_t>(id)];
+  }
 
   [[nodiscard]] std::int64_t NumValues() const noexcept {
-    return static_cast<std::int64_t>(values_.size());
+    return static_cast<std::int64_t>(body_->values.size());
   }
   [[nodiscard]] std::int64_t NumEquations() const noexcept {
-    return static_cast<std::int64_t>(equations_.size());
+    return static_cast<std::int64_t>(body_->equations.size());
   }
 
   /// Total bytes of literal (weight) values — the stage's parameter memory.
   [[nodiscard]] std::int64_t LiteralBytes() const noexcept;
 
   /// Exact computation identity: true iff values, equations and outputs are
-  /// equal. The descriptive metadata below (name, layer range, has_* flags,
-  /// microbatch) is ignored, so two slices of a model that compute the same
-  /// thing compare equal. ir::BuildOpDag reads nothing but these three
-  /// fields, so equal programs encode to the same bytes; if it ever reads
+  /// equal (at once when the two programs share one body). The descriptive
+  /// metadata below (name, layer range, has_* flags, microbatch) is ignored,
+  /// so two slices of a model that compute the same thing compare equal.
+  /// ir::BuildOpDag and ir::BuildPrunedOpDag read nothing but these three
+  /// fields, so equal programs encode to the same bytes; if they ever read
   /// more, the identity must grow with it.
   [[nodiscard]] bool SameComputation(const StageProgram& other) const noexcept;
-  /// Hash of exactly the fields SameComputation compares: equal programs
-  /// hash equal; unequal ones may collide, so confirm with SameComputation.
-  [[nodiscard]] std::uint64_t ComputationHash() const noexcept;
 
   std::string name;
   /// Descriptive metadata (used by samplers / reports).
@@ -82,9 +96,15 @@ class StageProgram {
   std::int64_t microbatch = 0;
 
  private:
-  std::vector<Value> values_;
-  std::vector<Equation> equations_;
-  std::vector<ValueId> outputs_;
+  struct Body {
+    std::vector<Value> values;
+    std::vector<Equation> equations;
+    std::vector<ValueId> outputs;
+  };
+  /// The body, detached from every other program first.
+  [[nodiscard]] Body& MutableBody();
+
+  std::shared_ptr<Body> body_;
 };
 
 /// FLOPs of one equation (forward pass; multiply-adds count as 2).

@@ -1,5 +1,7 @@
 #include "ir/resnet.h"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "ir/builder_common.h"
@@ -50,13 +52,19 @@ ValueId ConvNormRelu(GraphBuilder& gb, ValueId x, std::int64_t b, std::int64_t c
   return y;
 }
 
+/// The shape a block reads: its predecessor's, or its own for block 0.
+BlockShape InputShapeOfBlock(const WideResNetConfig& config, std::int64_t block) {
+  const BlockShape shape = ShapeOfBlock(config, block);
+  return block > 0 ? ShapeOfBlock(config, block - 1)
+                   : BlockShape{shape.channels, shape.spatial, false};
+}
+
 ValueId ResidualBlock(GraphBuilder& gb, ValueId x, const WideResNetConfig& config,
                       std::int64_t block) {
   auto& p = gb.program();
   const std::int64_t b = config.microbatch;
   const BlockShape shape = ShapeOfBlock(config, block);
-  const BlockShape prev = block > 0 ? ShapeOfBlock(config, block - 1)
-                                    : BlockShape{shape.channels, shape.spatial, false};
+  const BlockShape prev = InputShapeOfBlock(config, block);
   const std::int64_t cin = block > 0 ? prev.channels : shape.channels;
 
   const ValueId h1 = ConvNormRelu(gb, x, b, cin, shape.channels, shape.spatial, 3, true);
@@ -75,6 +83,21 @@ ValueId ResidualBlock(GraphBuilder& gb, ValueId x, const WideResNetConfig& confi
 }
 
 }  // namespace
+
+std::vector<std::int32_t> LayerKinds(const WideResNetConfig& config) {
+  std::vector<std::array<std::int64_t, 5>> seen;
+  std::vector<std::int32_t> kinds;
+  for (std::int64_t block = 0; block < config.num_blocks; ++block) {
+    const BlockShape shape = ShapeOfBlock(config, block);
+    const BlockShape in = InputShapeOfBlock(config, block);
+    const std::array<std::int64_t, 5> key = {shape.channels, shape.spatial, shape.downsamples,
+                                             in.channels, in.spatial};
+    const auto it = std::find(seen.begin(), seen.end(), key);
+    kinds.push_back(static_cast<std::int32_t>(it - seen.begin()));
+    if (it == seen.end()) seen.push_back(key);
+  }
+  return kinds;
+}
 
 StageProgram BuildWideResNetStage(const WideResNetConfig& config, StageSlice slice) {
   if (slice.first_layer < 0 || slice.last_layer > config.num_blocks ||

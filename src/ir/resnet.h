@@ -26,4 +26,10 @@ struct WideResNetConfig {
 [[nodiscard]] StageProgram BuildWideResNetStage(const WideResNetConfig& config,
                                                 StageSlice slice);
 
+/// Computation kind of each residual block (see LayerKinds in models.h): a
+/// block's equations depend on its own width and resolution and on its
+/// predecessor's, which is also the shape of a stage input entering at it.
+/// Blocks with equal (shape, predecessor shape) share a kind.
+[[nodiscard]] std::vector<std::int32_t> LayerKinds(const WideResNetConfig& config);
+
 }  // namespace predtop::ir

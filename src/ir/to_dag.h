@@ -14,8 +14,9 @@ namespace predtop::ir {
 /// output.
 [[nodiscard]] graph::OpDag BuildOpDag(const StageProgram& program);
 
-/// BuildOpDag followed by pruning of reshape / broadcast /
-/// convert_element_type nodes (paper §IV-B4).
+/// BuildOpDag followed by graph::PruneDag of reshape / broadcast /
+/// convert_element_type nodes (paper §IV-B4), node for node and edge for
+/// edge, in one walk of the program: no raw OpDag is built.
 [[nodiscard]] graph::OpDag BuildPrunedOpDag(const StageProgram& program);
 
 }  // namespace predtop::ir

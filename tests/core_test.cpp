@@ -447,10 +447,11 @@ TEST(PlanSearch, ParallelMemoFillMatchesStandaloneEncoding) {
   ExpectSameEncoding(search.EncodedFor(wide), EncodeStage(paper.build_stage(wide)), "wide");
   EXPECT_EQ(builds->load(), 1);
 
-  // The first in-span miss builds every in-span slice exactly once. Slices
-  // with equal programs share one encoding: a GPT-3 slice's program depends
-  // only on its span and on holding the embedding or the LM head, so the
-  // 255 slices are 45 distinct encodings.
+  // The first in-span miss builds and encodes one slice per computation
+  // class: a GPT-3 slice's program depends only on its span and on holding
+  // the embedding or the LM head, so the 255 slices are 45 classes. Every
+  // other slice's program shares its class's body and prints as its own
+  // build does.
   std::set<const graph::EncodedGraph*> distinct;
   for (const ir::StageSlice slice : slices) {
     const std::string what =
@@ -461,23 +462,26 @@ TEST(PlanSearch, ParallelMemoFillMatchesStandaloneEncoding) {
     if (HasFatalFailure()) return;
     distinct.insert(&search.EncodedFor(slice));
   }
-  EXPECT_EQ(builds->load(), 1 + static_cast<int>(slices.size()));
+  EXPECT_EQ(builds->load(), 1 + 45);
   EXPECT_EQ(distinct.size(), 45u);
 }
 
-/// Every in-span slice of `search` encodes byte-identically to a standalone
-/// EncodeStage, and two slices share an encoding exactly when their
-/// programs are equal. Returns the number of distinct encodings.
+/// Every in-span slice of `search` prints and encodes byte-identically to a
+/// standalone build and EncodeStage, and two slices share an encoding
+/// exactly when their programs are equal. Returns the number of distinct
+/// encodings.
 std::size_t ExpectSharingIsExact(PlanSearch& search, const BenchmarkModel& model) {
   const auto slices = ir::EnumerateStageSlices(model.num_layers, search.EffectiveMaxSpan());
   std::vector<ir::StageProgram> programs;
   std::vector<const graph::EncodedGraph*> encoded;
   for (const ir::StageSlice slice : slices) {
+    const std::string what = model.name + " " + std::to_string(slice.first_layer) + ".." +
+                             std::to_string(slice.last_layer);
     programs.push_back(model.build_stage(slice));
     encoded.push_back(&search.EncodedFor(slice));
-    ExpectSameEncoding(*encoded.back(), EncodeStage(programs.back()),
-                       model.name + " " + std::to_string(slice.first_layer) + ".." +
-                           std::to_string(slice.last_layer));
+    EXPECT_EQ(ir::PrintProgram(search.ProgramFor(slice)), ir::PrintProgram(programs.back()))
+        << what;
+    ExpectSameEncoding(*encoded.back(), EncodeStage(programs.back()), what);
   }
   for (std::size_t a = 0; a < slices.size(); ++a) {
     for (std::size_t b = a + 1; b < slices.size(); ++b) {
@@ -500,47 +504,107 @@ TEST(PlanSearch, SharedEncodingsMatchStandaloneAcrossModels) {
 
   // Wide-ResNet's residual blocks change width and resolution group by
   // group, so equal programs are the exception; sharing must still be exact.
-  const ir::WideResNetConfig wrn_config;
-  BenchmarkModel wrn;
-  wrn.name = "Wide-ResNet";
-  wrn.num_layers = static_cast<std::int32_t>(wrn_config.num_blocks);
-  wrn.build_stage = [wrn_config](ir::StageSlice slice) {
-    return ir::BuildWideResNetStage(wrn_config, slice);
-  };
+  const BenchmarkModel wrn = WideResNetBenchmark();
   PlanSearch wrn_search(wrn, sim::Platform1(), PlanSearchConfig{});
   const std::size_t wrn_distinct = ExpectSharingIsExact(wrn_search, wrn);
   EXPECT_GT(wrn_distinct, 1u);
   EXPECT_LE(wrn_distinct, ir::EnumerateStageSlices(wrn.num_layers, wrn.num_layers).size());
 }
 
-TEST(EncodingTable, HashCollisionNeverMergesPrograms) {
-  // Two different programs handed in under one hash, as a collision would:
-  // each keeps its own encoding. Equal programs share one, within a call
-  // and across calls.
-  const BenchmarkModel gpt = Gpt3Benchmark(TinyGptConfig());
-  const auto with_hash = [&gpt](ir::StageSlice slice) {
-    HashedProgram p = HashedProgram::Of(gpt.build_stage(slice));
-    p.hash = 42;
-    return p;
-  };
-  const std::vector<HashedProgram> programs = {with_hash({0, 1}), with_hash({1, 3}),
-                                               with_hash({1, 2}), with_hash({2, 3})};
-  EncodingTable table;
-  util::ThreadPool pool(2);
-  const std::vector<EncodingTable::Encoding> got = table.Encode(programs, &pool);
-  ASSERT_EQ(got.size(), programs.size());
-  EXPECT_NE(got[0], got[1]);
-  EXPECT_NE(got[0], got[2]);
-  EXPECT_NE(got[1], got[2]);
-  EXPECT_EQ(got[2], got[3]);  // layers [1, 2) and [2, 3): the same middle layer
-  EXPECT_EQ(table.size(), 3u);
-  for (std::size_t i = 0; i < programs.size(); ++i) {
-    ExpectSameEncoding(*got[i], EncodeStage(*programs[i].program), std::to_string(i));
+/// Expects every pair of `slices` to be in one StageClass exactly when the
+/// two programs are SameComputation.
+void ExpectClassIsComputation(const BenchmarkModel& model,
+                              const std::vector<ir::StageSlice>& slices) {
+  std::vector<ir::StageProgram> programs;
+  std::vector<std::vector<std::int32_t>> classes;
+  for (const ir::StageSlice slice : slices) {
+    programs.push_back(model.build_stage(slice));
+    classes.push_back(model.StageClass(slice));
   }
-  EXPECT_EQ(table.Encode(with_hash({2, 3})), got[2]);
-  EXPECT_EQ(table.size(), 3u);
-  EXPECT_NE(table.Encode(with_hash({0, 2})), got[1]);
-  EXPECT_EQ(table.size(), 4u);
+  for (std::size_t a = 0; a < slices.size(); ++a) {
+    for (std::size_t b = a + 1; b < slices.size(); ++b) {
+      ASSERT_EQ(classes[a] == classes[b], programs[a].SameComputation(programs[b]))
+          << model.name << " [" << slices[a].first_layer << "," << slices[a].last_layer
+          << ") vs [" << slices[b].first_layer << "," << slices[b].last_layer << ")";
+    }
+  }
+}
+
+TEST(BenchmarkModel, StageClassIsExactlySameComputation) {
+  const BenchmarkModel gpt = Gpt3Benchmark(ir::Gpt3Config{});
+  ExpectClassIsComputation(gpt, ir::EnumerateStageSlices(gpt.num_layers, 15));
+  ExpectClassIsComputation(gpt, ir::EnumerateStageSlices(gpt.num_layers, 9));
+  const BenchmarkModel moe = MoeBenchmark(ir::MoeConfig{});
+  ExpectClassIsComputation(moe, ir::EnumerateStageSlices(moe.num_layers, 11));
+  const BenchmarkModel wrn = WideResNetBenchmark();
+  ExpectClassIsComputation(wrn, ir::EnumerateStageSlices(wrn.num_layers));
+
+  // A model that declares no kinds puts every slice in a class of its own.
+  BenchmarkModel undeclared = gpt;
+  undeclared.layer_kinds.clear();
+  std::set<std::vector<std::int32_t>> classes;
+  for (const ir::StageSlice slice : ir::EnumerateStageSlices(undeclared.num_layers)) {
+    EXPECT_TRUE(classes.insert(undeclared.StageClass(slice)).second);
+  }
+}
+
+TEST(EncodingTable, OneBuildAndEncodingPerClass) {
+  // Six tiny GPT-3 layers: 21 slices in 15 classes. build_stage counts its
+  // calls, so the test sees what the table builds.
+  ir::Gpt3Config tiny = TinyGptConfig();
+  tiny.num_layers = 6;
+  const BenchmarkModel gpt = Gpt3Benchmark(tiny);
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  BenchmarkModel counted = gpt;
+  counted.build_stage = [builds, build = gpt.build_stage](ir::StageSlice slice) {
+    builds->fetch_add(1);
+    return build(slice);
+  };
+  EncodingTable table(counted);
+
+  // Program alone builds its class representative but encodes nothing;
+  // another slice of the class reuses the body.
+  const ir::StageProgram& first = table.Program({1, 3});
+  EXPECT_EQ(builds->load(), 1);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_TRUE(&table.Program({2, 4}).values() == &first.values());
+  EXPECT_EQ(ir::PrintProgram(table.Program({2, 4})), ir::PrintProgram(gpt.build_stage({2, 4})));
+  EXPECT_EQ(builds->load(), 1);
+
+  // Fill builds every other class once and encodes every class once.
+  const auto slices = ir::EnumerateStageSlices(6);
+  util::ThreadPool pool(2);
+  table.Fill(slices, &pool);
+  EXPECT_EQ(builds->load(), 15);
+  EXPECT_EQ(table.size(), 15u);
+  std::set<const graph::EncodedGraph*> distinct;
+  for (const ir::StageSlice slice : slices) {
+    const ir::StageProgram fresh = gpt.build_stage(slice);
+    const std::string what = fresh.name;
+    EXPECT_EQ(ir::PrintProgram(table.Program(slice)), ir::PrintProgram(fresh)) << what;
+    ExpectSameEncoding(table.Encoded(slice), EncodeStage(fresh), what);
+    distinct.insert(&table.Encoded(slice));
+  }
+  EXPECT_EQ(distinct.size(), 15u);
+  table.Fill(slices, &pool);  // nothing left to do
+  EXPECT_EQ(builds->load(), 15);
+  EXPECT_EQ(table.size(), 15u);
+}
+
+TEST(EncodingTable, FailedFillCommitsNothing) {
+  const BenchmarkModel gpt = Gpt3Benchmark(TinyGptConfig());
+  BenchmarkModel failing = gpt;
+  failing.build_stage = [build = gpt.build_stage](ir::StageSlice slice) {
+    if (slice.NumLayers() == 3) throw std::runtime_error("build failed");
+    return build(slice);
+  };
+  EncodingTable table(failing);
+  util::ThreadPool pool(2);
+  EXPECT_THROW(table.Fill(ir::EnumerateStageSlices(4), &pool), std::runtime_error);
+  EXPECT_EQ(table.size(), 0u);
+  // The classes that can be built still resolve, one encoding each.
+  ExpectSameEncoding(table.Encoded({1, 2}), EncodeStage(gpt.build_stage({2, 3})), "middle");
+  EXPECT_EQ(table.size(), 1u);
 }
 
 }  // namespace

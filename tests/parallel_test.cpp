@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "parallel/config.h"
@@ -250,49 +252,142 @@ TEST(InterOp, PlanCoversAllLayersContiguously) {
   EXPECT_LE(devices, sim::Platform2().TotalDevices());
 }
 
-TEST(InterOp, MatchesBruteForceOnSmallInstance) {
-  // Brute-force all contiguous partitions x mesh assignments for 4 layers on
-  // Platform 2 and compare with the DP result.
-  InterOpOptions options;
-  options.num_layers = 4;
-  options.num_microbatches = 6;
-  const InterOpOptimizer optimizer(sim::Platform2(), options);
+/// Exhaustive reference for the inter-op DP: every contiguous partition of
+/// the layers, every mesh per stage, within the cluster's devices and the
+/// max_stages bound.
+struct BruteForceOptimum {
+  double latency = std::numeric_limits<double>::infinity();
+  double bottleneck = std::numeric_limits<double>::infinity();  // smallest among optima
+  int optima = 0;  // plans within 1e-9 of the optimum (ties)
+};
 
-  // Irregular synthetic latencies keyed deterministically.
-  const StageLatencyOracle oracle = [](ir::StageSlice slice, sim::Mesh mesh) {
-    const std::uint64_t h = util::SplitMix64(
-        static_cast<std::uint64_t>(slice.first_layer * 131 + slice.last_layer * 17 +
-                                   mesh.NumDevices()));
-    const double latency = 0.05 + static_cast<double>(h % 1000) / 1000.0 *
-                                      slice.NumLayers() / mesh.NumDevices();
-    return StageLatencyResult{latency, {}};
-  };
-
-  const PipelinePlan dp_plan = optimizer.Optimize(oracle);
-  ASSERT_TRUE(dp_plan.Valid());
-
-  // Brute force: enumerate compositions of 4 layers and mesh choices.
-  const auto meshes = sim::PaperMeshes(sim::Platform2());
-  double best = std::numeric_limits<double>::infinity();
-  std::vector<std::pair<std::int32_t, std::size_t>> stack;  // (cut, mesh idx)
-  const std::function<void(std::int32_t, std::int32_t, std::vector<double>&)> recurse =
-      [&](std::int32_t layer, std::int32_t devices_left, std::vector<double>& lats) {
-        if (layer == 4) {
-          best = std::min(best, PipelineLatency(lats, 6));
+BruteForceOptimum BruteForce(std::int32_t layers, std::int32_t microbatches,
+                             std::int32_t max_stages, std::int32_t devices,
+                             const std::vector<sim::Mesh>& meshes,
+                             const StageLatencyOracle& oracle) {
+  BruteForceOptimum best;
+  std::vector<double> lats;
+  const std::function<void(std::int32_t, std::int32_t)> recurse =
+      [&](std::int32_t layer, std::int32_t devices_left) {
+        if (layer == layers) {
+          const double latency = PipelineLatency(lats, microbatches);
+          const double bottleneck = *std::max_element(lats.begin(), lats.end());
+          if (!std::isfinite(best.latency) || latency < best.latency - 1e-9 * best.latency) {
+            best = {latency, bottleneck, 1};
+          } else if (latency <= best.latency + 1e-9 * best.latency) {
+            best.bottleneck = std::min(best.bottleneck, bottleneck);
+            ++best.optima;
+          }
           return;
         }
-        for (std::int32_t next = layer + 1; next <= 4; ++next) {
+        if (max_stages > 0 && static_cast<std::int32_t>(lats.size()) == max_stages) return;
+        for (std::int32_t next = layer + 1; next <= layers; ++next) {
           for (const sim::Mesh mesh : meshes) {
             if (mesh.NumDevices() > devices_left) continue;
-            lats.push_back(oracle(ir::StageSlice{layer, next}, mesh).latency_s);
-            recurse(next, devices_left - mesh.NumDevices(), lats);
+            const double t = oracle(ir::StageSlice{layer, next}, mesh).latency_s;
+            if (!std::isfinite(t)) continue;
+            lats.push_back(t);
+            recurse(next, devices_left - mesh.NumDevices());
             lats.pop_back();
           }
         }
       };
-  std::vector<double> lats;
-  recurse(0, sim::Platform2().TotalDevices(), lats);
-  EXPECT_NEAR(dp_plan.iteration_latency_s, best, 1e-9);
+  recurse(0, devices);
+  return best;
+}
+
+TEST(InterOp, MatchesBruteForceOnSmallInstance) {
+  // A seeded sweep against exhaustive search: up to 6 layers, both
+  // platforms' meshes, B in [1, 16], max_stages bounds, and latencies drawn
+  // from a small set (ties) with some cells unusable. A failing case names
+  // its seed; rerun just that seed to debug it.
+  int pruned_cases = 0;      // the t_max enumeration stops before its last candidate
+  int bound_binding = 0;     // max_stages excludes every unbounded optimum
+  int tied_cases = 0;        // more than one optimal plan
+  constexpr std::uint64_t kCases = 1000;
+  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    const sim::ClusterSpec cluster = rng.NextBelow(2) == 0 ? sim::Platform1() : sim::Platform2();
+    InterOpOptions options;
+    options.num_layers = 1 + static_cast<std::int32_t>(rng.NextBelow(6));
+    options.num_microbatches = 1 + static_cast<std::int32_t>(rng.NextBelow(16));
+    options.max_stages =
+        rng.NextBelow(3) == 0 ? 0
+                              : 1 + static_cast<std::int32_t>(rng.NextBelow(
+                                        static_cast<std::uint64_t>(options.num_layers)));
+    const std::uint64_t levels = 1 + rng.NextBelow(6);  // few levels: many ties
+    const std::uint64_t unusable_per_64 = rng.NextBelow(12);
+    const std::uint64_t salt = rng.NextU64();
+    const StageLatencyOracle oracle = [&](ir::StageSlice slice, sim::Mesh mesh) {
+      const std::uint64_t h = util::SplitMix64(
+          salt ^ static_cast<std::uint64_t>(slice.first_layer * 1000 + slice.last_layer * 10 +
+                                            mesh.num_nodes * 100000 + mesh.gpus_per_node));
+      if ((h >> 32) % 64 < unusable_per_64) {
+        return StageLatencyResult{std::numeric_limits<double>::infinity(), {}};
+      }
+      const double level = 1.0 + static_cast<double>(h % levels);
+      return StageLatencyResult{level * slice.NumLayers() / mesh.NumDevices(), {}};
+    };
+
+    const InterOpOptimizer optimizer(cluster, options);
+    const PipelinePlan plan = optimizer.Optimize(oracle);
+    const std::vector<sim::Mesh> meshes = sim::PaperMeshes(cluster);
+    const BruteForceOptimum want =
+        BruteForce(options.num_layers, options.num_microbatches, options.max_stages,
+                   cluster.TotalDevices(), meshes, oracle);
+    if (!std::isfinite(want.latency)) {  // every plan needs an unusable cell
+      EXPECT_FALSE(plan.Valid());
+      continue;
+    }
+    ASSERT_TRUE(plan.Valid());
+    EXPECT_NEAR(plan.iteration_latency_s, want.latency, 1e-9 * want.latency);
+    // The plan is what it claims: contiguous, within devices and the bound,
+    // and priced by Eqn. 4 over its own stages.
+    std::int32_t cursor = 0;
+    std::int32_t devices = 0;
+    std::vector<double> lats;
+    for (const PipelineStageChoice& stage : plan.stages) {
+      EXPECT_EQ(stage.slice.first_layer, cursor);
+      cursor = stage.slice.last_layer;
+      devices += stage.mesh.NumDevices();
+      lats.push_back(oracle(stage.slice, stage.mesh).latency_s);
+    }
+    EXPECT_EQ(cursor, options.num_layers);
+    EXPECT_LE(devices, cluster.TotalDevices());
+    if (options.max_stages > 0) {
+      EXPECT_LE(static_cast<std::int32_t>(plan.stages.size()), options.max_stages);
+    }
+    EXPECT_DOUBLE_EQ(plan.iteration_latency_s, PipelineLatency(lats, options.num_microbatches));
+
+    // Coverage bookkeeping. Pruning fires when some finite latency above
+    // the optimum's bottleneck t* has B * t >= the optimum: once t* is
+    // processed the incumbent is optimal, so the enumeration stops there.
+    double max_finite = 0.0;
+    for (std::int32_t i = 0; i < options.num_layers; ++i) {
+      for (std::int32_t j = i + 1; j <= options.num_layers; ++j) {
+        for (const sim::Mesh mesh : meshes) {
+          const double t = oracle(ir::StageSlice{i, j}, mesh).latency_s;
+          if (std::isfinite(t)) max_finite = std::max(max_finite, t);
+        }
+      }
+    }
+    if (max_finite > want.bottleneck &&
+        options.num_microbatches * max_finite >= want.latency) {
+      ++pruned_cases;
+    }
+    if (want.optima > 1) ++tied_cases;
+    if (options.max_stages > 0) {
+      const BruteForceOptimum unbounded = BruteForce(options.num_layers,
+                                                     options.num_microbatches, 0,
+                                                     cluster.TotalDevices(), meshes, oracle);
+      if (want.latency > unbounded.latency * (1.0 + 1e-9)) ++bound_binding;
+    }
+  }
+  // The sweep reaches every regime it is meant to cover.
+  EXPECT_GT(pruned_cases, static_cast<int>(kCases) / 4);
+  EXPECT_GT(bound_binding, 10);
+  EXPECT_GT(tied_cases, 10);
 }
 
 TEST(InterOp, MoreMicrobatchesFavorMoreStages) {
